@@ -146,8 +146,6 @@ type RunOptions struct {
 	// Params overrides the algorithms' constant factors; zero value uses
 	// calibrated defaults.
 	Params core.Params
-	// Workers > 1 fans per-round process callbacks over goroutines.
-	Workers int
 	// CollectTrace aggregates per-node and per-round activity during the
 	// run; the summary is reported in Result.TraceSummary.
 	CollectTrace bool
@@ -171,15 +169,14 @@ func (nw *Network) scenario(opts RunOptions) *harness.Scenario {
 		adv = adversary.NewCollisionSeeking(nw.net)
 	}
 	s := &harness.Scenario{
-		Net:     nw.net,
-		Asg:     nw.asg,
-		Det:     nw.det,
-		Adv:     adv,
-		Params:  opts.Params,
-		Seed:    opts.Seed,
-		B:       opts.MessageBits,
-		Workers: opts.Workers,
-		Leap:    opts.Leap,
+		Net:    nw.net,
+		Asg:    nw.asg,
+		Det:    nw.det,
+		Adv:    adv,
+		Params: opts.Params,
+		Seed:   opts.Seed,
+		B:      opts.MessageBits,
+		Leap:   opts.Leap,
 	}
 	if opts.CollectTrace {
 		s.Observer = trace.NewRecorder(nw.N())

@@ -68,26 +68,6 @@ func TestFacadeBaselineCCDS(t *testing.T) {
 	}
 }
 
-func TestFacadeWorkersMatchSequential(t *testing.T) {
-	net, err := dualradio.Generate(dualradio.NetworkOptions{Nodes: 128, Seed: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := dualradio.BuildMIS(net, dualradio.RunOptions{Seed: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := dualradio.BuildMIS(net, dualradio.RunOptions{Seed: 24, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range seq.Outputs {
-		if seq.Outputs[v] != par.Outputs[v] {
-			t.Fatalf("node %d: outputs diverge between sequential and parallel", v)
-		}
-	}
-}
-
 func TestFacadeSchedulePredictors(t *testing.T) {
 	ccds, err := dualradio.CCDSRounds(1024, 64, 4096)
 	if err != nil {

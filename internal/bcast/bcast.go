@@ -118,10 +118,11 @@ func (p *Proc) Sent() int { return p.sent }
 
 // Broadcast implements sim.Process: informed relays use exponential decay —
 // within each phase the probability halves from 1/2 down to 1/n, so
-// whatever the local contention, some sub-phase matches it.
-func (p *Proc) Broadcast(round int) sim.Message {
+// whatever the local contention, some sub-phase matches it. A reception can
+// inform a node in any round, so the process never sleeps.
+func (p *Proc) Broadcast(round int) (sim.Message, int) {
 	if !p.informed || !p.relay {
-		return nil
+		return nil, round + 1
 	}
 	if p.inPhase >= p.phaseLen {
 		p.inPhase = 0
@@ -134,9 +135,9 @@ func (p *Proc) Broadcast(round int) sim.Message {
 	}
 	if p.rng.Float64() < prob {
 		p.sent++
-		return payloadMsg{from: p.id, origin: p.origin, bits: 64}
+		return payloadMsg{from: p.id, origin: p.origin, bits: 64}, round + 1
 	}
-	return nil
+	return nil, round + 1
 }
 
 // Receive implements sim.Process.

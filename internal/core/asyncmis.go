@@ -92,19 +92,13 @@ func (p *AsyncMISProcess) WakeRound() int { return p.wake }
 // bounds this by O(log³ n) w.h.p.
 func (p *AsyncMISProcess) DecisionLatency() int { return p.decided }
 
-// Broadcast implements sim.Process.
-func (p *AsyncMISProcess) Broadcast(round int) sim.Message {
-	m, _ := p.BroadcastSleep(round)
-	return m
-}
-
-// BroadcastSleep implements sim.SleepBroadcaster: an unwoken process sleeps
-// to its wake-up round and a listening process to the end of its listening
-// phase — in both states Broadcast returns nil without touching state or
-// randomness. A knock-back during the sleep only restarts the listening
-// phase, which keeps the process silent even longer, so an early declared
-// wake is always safe (the process simply declares a new sleep).
-func (p *AsyncMISProcess) BroadcastSleep(round int) (sim.Message, int) {
+// Broadcast implements sim.Process: an unwoken process sleeps to its wake-up
+// round and a listening process to the end of its listening phase — in both
+// states Broadcast returns nil without touching state or randomness. A
+// knock-back during the sleep only restarts the listening phase, which keeps
+// the process silent even longer, so an early declared wake is always safe
+// (the process simply declares a new sleep).
+func (p *AsyncMISProcess) Broadcast(round int) (sim.Message, int) {
 	if round < p.wake {
 		return nil, p.wake
 	}

@@ -31,7 +31,7 @@ func asyncProc(t *testing.T, id, n, wake int, det *detector.Set, filter FilterMo
 func TestAsyncSilentBeforeWake(t *testing.T) {
 	p := asyncProc(t, 1, 8, 10, nil, FilterNone, 1)
 	for r := 0; r < 10; r++ {
-		if p.Broadcast(r) != nil {
+		if m, _ := p.Broadcast(r); m != nil {
 			t.Fatalf("broadcast before wake at round %d", r)
 		}
 		p.Receive(r, newAnnounce(8, 2, nil))
@@ -47,7 +47,7 @@ func TestAsyncListeningPhaseSilent(t *testing.T) {
 	p := asyncProc(t, 1, 8, 0, nil, FilterNone, 2)
 	listen := p.listenLen
 	for r := 0; r < listen; r++ {
-		if p.Broadcast(r) != nil {
+		if m, _ := p.Broadcast(r); m != nil {
 			t.Fatalf("broadcast during listening phase at round %d", r)
 		}
 		p.Receive(r, nil)
@@ -76,7 +76,7 @@ func TestAsyncKnockbackRestartsEpoch(t *testing.T) {
 	}
 	// The fresh epoch begins with a silent listening phase.
 	for i := 0; i < p.listenLen; i++ {
-		if p.Broadcast(r+i) != nil {
+		if m, _ := p.Broadcast(r + i); m != nil {
 			t.Fatalf("broadcast during post-knockback listening at %d", i)
 		}
 		p.Receive(r+i, nil)
@@ -105,7 +105,7 @@ func TestAsyncLoneProcessJoins(t *testing.T) {
 	total := p.epochLen + 10
 	announced := false
 	for r := 0; r < total; r++ {
-		if msg := p.Broadcast(r); msg != nil {
+		if msg, _ := p.Broadcast(r); msg != nil {
 			if _, ok := msg.(*announceMsg); ok && p.InMIS() {
 				announced = true
 			}

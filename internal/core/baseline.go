@@ -90,33 +90,21 @@ func (p *BaselineCCDSProcess) Done() bool { return p.done }
 // InMIS reports whether the process joined the underlying MIS.
 func (p *BaselineCCDSProcess) InMIS() bool { return p.mis.InMIS() }
 
-// Broadcast implements sim.Process.
-func (p *BaselineCCDSProcess) Broadcast(round int) sim.Message {
-	misTotal := p.mis.Rounds()
-	if round < misTotal {
-		return p.mis.Broadcast(round)
-	}
-	if !p.enterSearch(round) {
-		return nil
-	}
-	return p.enum.Broadcast(round - misTotal)
-}
-
-// BroadcastSleep implements sim.SleepBroadcaster: the MIS subroutine's
-// sleep windows pass through unchanged, and the enumeration schedule
-// reports its own (see enumConnect.BroadcastSleep for the coin
-// pre-consumption that keeps skipped executions bit-identical).
-func (p *BaselineCCDSProcess) BroadcastSleep(round int) (sim.Message, int) {
+// Broadcast implements sim.Process: the MIS subroutine's sleep windows pass
+// through unchanged, and the enumeration schedule reports its own (see
+// enumConnect.Broadcast for the coin pre-consumption that keeps skipped
+// executions bit-identical).
+func (p *BaselineCCDSProcess) Broadcast(round int) (sim.Message, int) {
 	misTotal := p.mis.Rounds()
 	if round < misTotal {
 		// MIS wake rounds never exceed the MIS schedule end, which is
 		// exactly where the enumeration takes over.
-		return p.mis.BroadcastSleep(round)
+		return p.mis.Broadcast(round)
 	}
 	if !p.enterSearch(round) {
 		return nil, round + 1
 	}
-	m, wake := p.enum.BroadcastSleep(round - misTotal)
+	m, wake := p.enum.Broadcast(round - misTotal)
 	return m, misTotal + wake
 }
 

@@ -266,26 +266,20 @@ func (p *CCDSProcess) initSearch() {
 	p.relays = make(map[int]*relayRecord)
 }
 
-// Broadcast implements sim.Process.
-func (p *CCDSProcess) Broadcast(round int) sim.Message {
-	m, _ := p.BroadcastSleep(round)
-	return m
-}
-
 // PassiveReceive marks that Receive ignores nil messages and the process's
 // own echo (see sim.PassiveReceiver).
 func (p *CCDSProcess) PassiveReceive() {}
 
-// BroadcastSleep implements sim.SleepBroadcaster. The search schedule has
-// long provably-silent stretches — covered processes during the banned-list
+// Broadcast implements sim.Process. The search schedule has long
+// provably-silent stretches — covered processes during the banned-list
 // phase, MIS processes during decay rounds, processes with nothing to
 // nominate — in which Broadcast returns nil without consuming randomness;
 // the reported wake round lets the engine skip those calls outright.
-func (p *CCDSProcess) BroadcastSleep(round int) (sim.Message, int) {
+func (p *CCDSProcess) Broadcast(round int) (sim.Message, int) {
 	if round < p.sched.mis.total {
 		// The MIS subroutine's sleep-forever is its own schedule end,
 		// which is exactly where the search takes over.
-		return p.mis.BroadcastSleep(round)
+		return p.mis.Broadcast(round)
 	}
 	if round >= p.sched.total {
 		p.finish()

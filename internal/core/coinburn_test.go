@@ -9,14 +9,14 @@ import (
 
 // TestEnumSleepCoinPreConsumption asserts the exact engine's coin
 // pre-consumption rule for the enumeration-connect schedule (see
-// sim.SleepBroadcaster): every round of the schedule — silent or not —
-// costs one coin, so BroadcastSleep must burn the skipped rounds' draws
-// before declaring a sleep. The test drives one instance round by round
-// through Broadcast and a twin through BroadcastSleep honoring its wake
-// rounds, with identical RNG streams: the emitted messages must match
-// round for round, and the streams must end at the same position (their
-// next draws coincide). A missing pre-burn desynchronizes the streams and
-// the trailing draws diverge.
+// sim.Process): every round of the schedule — silent or not — costs one
+// coin, so Broadcast must burn the skipped rounds' draws before declaring a
+// sleep. The test drives one instance round by round through the per-round
+// broadcastRound and a twin through Broadcast honoring its wake rounds, with
+// identical RNG streams: the emitted messages must match round for round,
+// and the streams must end at the same position (their next draws
+// coincide). A missing pre-burn desynchronizes the streams and the trailing
+// draws diverge.
 func TestEnumSleepCoinPreConsumption(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -42,7 +42,7 @@ func TestEnumSleepCoinPreConsumption(t *testing.T) {
 			total := plain.Rounds()
 			wake := 0
 			for r := 0; r < total; r++ {
-				pm := plain.Broadcast(r)
+				pm := plain.broadcastRound(r)
 				if r < wake {
 					// The sleeper declared silence through this round; the
 					// bit-identity contract demands the plain drive agrees.
@@ -51,7 +51,7 @@ func TestEnumSleepCoinPreConsumption(t *testing.T) {
 					}
 					continue
 				}
-				sm, w := sleepy.BroadcastSleep(r)
+				sm, w := sleepy.Broadcast(r)
 				if w <= r {
 					t.Fatalf("round %d: wake %d not in the future", r, w)
 				}
@@ -61,13 +61,13 @@ func TestEnumSleepCoinPreConsumption(t *testing.T) {
 				}
 			}
 			// Stream-position equality: the next draws of both RNGs coincide
-			// only if BroadcastSleep burned exactly the skipped rounds' coins.
+			// only if Broadcast burned exactly the skipped rounds' coins.
 			for i := 0; i < 4; i++ {
 				pv := plain.rng.Float64()
 				sv := sleepy.rng.Float64()
 				if pv != sv {
 					t.Fatalf("draw %d after the schedule: plain %v vs sleep %v — "+
-						"BroadcastSleep did not pre-consume the skipped rounds' coins", i, pv, sv)
+						"Broadcast did not pre-consume the skipped rounds' coins", i, pv, sv)
 				}
 			}
 		})

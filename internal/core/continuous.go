@@ -70,16 +70,20 @@ func (p *ContinuousCCDSProcess) PassiveReceive() {}
 // own; executions are bounded by the runner's round cap.
 func (p *ContinuousCCDSProcess) Done() bool { return false }
 
-// Broadcast implements sim.Process.
-func (p *ContinuousCCDSProcess) Broadcast(round int) sim.Message {
+// Broadcast implements sim.Process with a per-round drive: it reports
+// round+1 and drops the inner run's wake round, so every period boundary —
+// where the previous result commits and the detector is re-read — is
+// driven.
+func (p *ContinuousCCDSProcess) Broadcast(round int) (sim.Message, int) {
 	local := round % p.period
 	if local == 0 {
 		p.beginPeriod(round)
 	}
 	if p.inner == nil {
-		return nil
+		return nil, round + 1
 	}
-	return p.inner.Broadcast(local)
+	m, _ := p.inner.Broadcast(local)
+	return m, round + 1
 }
 
 // beginPeriod commits the previous period's result and starts a fresh inner

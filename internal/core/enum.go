@@ -179,8 +179,9 @@ func (e *enumConnect) boundaries() (a, b, c, d int) {
 	return a, b, c, d
 }
 
-// Broadcast emits this round's message; t is the procedure-relative round.
-func (e *enumConnect) Broadcast(t int) sim.Message {
+// broadcastRound emits this round's message, drawing the round's coin; t is
+// the procedure-relative round. It is the per-round drive Broadcast wraps.
+func (e *enumConnect) broadcastRound(t int) sim.Message {
 	bA, bB, bC, bD := e.boundaries()
 	coin := e.rng.Float64() < 0.5
 	switch {
@@ -257,23 +258,23 @@ func (e *enumConnect) Broadcast(t int) sim.Message {
 	}
 }
 
-// BroadcastSleep is Broadcast plus a wake round for the engine's sleep
-// calendar (see sim.SleepBroadcaster). The connect procedure has long
+// Broadcast is broadcastRound plus a wake round for the engine's sleep
+// calendar (see sim.Process). The connect procedure has long
 // provably-silent stretches — covered processes through phase 0 and phase C,
 // dominators through phases A/B/D and outside their stagger windows, covered
 // processes between their rank slots.
 //
-// Broadcast draws one probability-1/2 coin every round, silent or not (the
-// schedule predates sleeping), so unlike the MIS and banned-list CCDS
+// broadcastRound draws one probability-1/2 coin every round, silent or not
+// (the schedule predates sleeping), so unlike the MIS and banned-list CCDS
 // processes the silent stretches are not randomness-free. To keep skipped
-// executions bit-identical, BroadcastSleep pre-consumes the skipped rounds'
-// coins before declaring the sleep — the pre-consume strategy the
-// sim.SleepBroadcaster contract sanctions. Burning a draw is several times
-// cheaper than an engine dispatch into Broadcast's schedule resolution, and
-// the wake calendar additionally keeps the slept process out of the round
-// loop entirely.
-func (e *enumConnect) BroadcastSleep(t int) (sim.Message, int) {
-	m := e.Broadcast(t)
+// executions bit-identical, Broadcast pre-consumes the skipped rounds' coins
+// before declaring the sleep — the coin pre-consumption rule of the
+// sim.Process contract. Burning a draw is several times cheaper than an
+// engine dispatch into broadcastRound's schedule resolution, and the wake
+// calendar additionally keeps the slept process out of the round loop
+// entirely.
+func (e *enumConnect) Broadcast(t int) (sim.Message, int) {
+	m := e.broadcastRound(t)
 	if m != nil {
 		// The engine only honors a sleep window on silent rounds, so
 		// burning coins here would double-consume them.
@@ -294,7 +295,7 @@ func (e *enumConnect) BroadcastSleep(t int) (sim.Message, int) {
 // list at bD (phase-C selections stop) — so projections from before those
 // edges conservatively wake at the edge (or at the fixed stagger window
 // start) and re-evaluate there. Waking early is always safe: an awake round
-// draws its own coin exactly as the plain Broadcast discipline would.
+// draws its own coin exactly as the per-round broadcastRound drive would.
 func (e *enumConnect) nextPossible(from, now int) int {
 	s := e.sched
 	total := s.total

@@ -73,7 +73,7 @@ func TestEnumCoveredLearnsRanksAndAnnounces(t *testing.T) {
 	slotStart := bA + 1*e.sched.bb
 	var msg sim.Message
 	for r := slotStart; r < slotStart+e.sched.bb && msg == nil; r++ {
-		msg = e.Broadcast(r)
+		msg = e.broadcastRound(r)
 	}
 	ann, ok := msg.(*annAMsg)
 	if !ok {

@@ -11,7 +11,7 @@ import (
 // sim.LeapBroadcaster methods (BroadcastLeap) that sample each coin-flipping
 // stretch's first broadcast round directly from the geometric distribution
 // instead of flipping a Bernoulli coin per round. The exact engine's
-// per-round methods are untouched — leap is statistically equivalent
+// Broadcast methods are untouched — leap is statistically equivalent
 // (identical in distribution) but intentionally not bit-identical, because
 // the PCG streams are consumed in a different order.
 //
@@ -426,13 +426,13 @@ func (p *CCDSProcess) sendExploreLeap(off int) (sim.Message, int) {
 
 // --- Section 6 enumeration connect ----------------------------------------
 
-// BroadcastLeap is the connect procedure's leap path. The exact Broadcast
-// flips its 1/2 coin every round, silent or not, which is why the exact
-// sleep path must pre-burn the skipped rounds' draws; leap abandons stream
-// alignment, so ineligible rounds consume nothing and the wake projection
-// (nextPossible) is used without the burn loop. Eligible rounds flip their
-// coin exactly as the exact engine does, so eligible-round behavior is
-// unchanged in distribution.
+// BroadcastLeap is the connect procedure's leap path. The exact
+// broadcastRound flips its 1/2 coin every round, silent or not, which is why
+// the exact Broadcast must pre-burn the skipped rounds' draws; leap abandons
+// stream alignment, so ineligible rounds consume nothing and the wake
+// projection (nextPossible) is used without the burn loop. Eligible rounds
+// flip their coin exactly as the exact engine does, so eligible-round
+// behavior is unchanged in distribution.
 func (e *enumConnect) BroadcastLeap(t int) (sim.Message, int) {
 	if e.arena == nil {
 		e.arena = &leapMsgs{}
@@ -445,7 +445,7 @@ func (e *enumConnect) BroadcastLeap(t int) (sim.Message, int) {
 	return nil, e.nextPossible(t+1, t)
 }
 
-// leapMessage mirrors Broadcast's phase logic with the coin drawn only on
+// leapMessage mirrors broadcastRound's phase logic with the coin drawn only on
 // rounds where this process could broadcast at all.
 func (e *enumConnect) leapMessage(t int) sim.Message {
 	s := e.sched

@@ -200,12 +200,6 @@ func (p *MISProcess) advanceCursor() {
 	}
 }
 
-// Broadcast implements sim.Process.
-func (p *MISProcess) Broadcast(round int) sim.Message {
-	m, _ := p.BroadcastSleep(round)
-	return m
-}
-
 // PassiveReceive marks that Receive ignores nil messages and the process's
 // own echo (see sim.PassiveReceiver).
 func (p *MISProcess) PassiveReceive() {}
@@ -219,14 +213,14 @@ func (p *MISProcess) nextEpochStart(round int) int {
 	return round + 1 + p.sched.epochLen - p.off
 }
 
-// BroadcastSleep implements sim.SleepBroadcaster: alongside the round's
-// message it reports the earliest round at which the process might broadcast
-// again. Knocked-out competitors sleep to their next epoch, covered (output
-// 0) processes and one-shot members past their joining epoch sleep to the
-// end of the schedule; in all those states Broadcast returns nil without
+// Broadcast implements sim.Process: alongside the round's message it
+// reports the earliest round at which the process might broadcast again.
+// Knocked-out competitors sleep to their next epoch, covered (output 0)
+// processes and one-shot members past their joining epoch sleep to the end
+// of the schedule; in all those states Broadcast returns nil without
 // consuming randomness, so skipping the calls leaves the execution
 // bit-identical.
-func (p *MISProcess) BroadcastSleep(round int) (sim.Message, int) {
+func (p *MISProcess) Broadcast(round int) (sim.Message, int) {
 	if round >= p.sched.total {
 		p.finished = true
 		return nil, round + 1

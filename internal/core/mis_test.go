@@ -184,7 +184,7 @@ func TestMISKnockoutSilences(t *testing.T) {
 	// through the end of the current epoch (it may re-activate later).
 	s := newMISSchedule(4, DefaultParams())
 	for r := 1; r < s.epochLen; r++ {
-		if msg := p.Broadcast(r); msg != nil {
+		if msg, _ := p.Broadcast(r); msg != nil {
 			t.Fatalf("knocked-out process broadcast at round %d", r)
 		}
 		p.Receive(r, nil)

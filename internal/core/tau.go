@@ -110,33 +110,14 @@ func (p *TauCCDSProcess) harvestMasters() {
 	}
 }
 
-// Broadcast implements sim.Process.
-func (p *TauCCDSProcess) Broadcast(round int) sim.Message {
-	misPhase := p.iterations * p.misTotal
-	if round < misPhase {
-		local := round % p.misTotal
-		inner := p.iterationInner(local)
-		if inner == nil {
-			return nil
-		}
-		msg := inner.Broadcast(local)
-		p.noteWin(round)
-		return msg
-	}
-	if !p.enterSearch(round) {
-		return nil
-	}
-	return p.enum.Broadcast(round - misPhase)
-}
-
-// BroadcastSleep implements sim.SleepBroadcaster. During the iterated MIS
-// phase, a participant's sleep windows come from the inner MIS instance
-// (clamped to the iteration by construction: MIS wake rounds never exceed
-// its schedule end) and an established dominator sleeps out each remaining
-// iteration whole; the enumeration schedule then reports its own windows
-// (see enumConnect.BroadcastSleep for the coin pre-consumption that keeps
-// skipped executions bit-identical).
-func (p *TauCCDSProcess) BroadcastSleep(round int) (sim.Message, int) {
+// Broadcast implements sim.Process. During the iterated MIS phase, a
+// participant's sleep windows come from the inner MIS instance (clamped to
+// the iteration by construction: MIS wake rounds never exceed its schedule
+// end) and an established dominator sleeps out each remaining iteration
+// whole; the enumeration schedule then reports its own windows (see
+// enumConnect.Broadcast for the coin pre-consumption that keeps skipped
+// executions bit-identical).
+func (p *TauCCDSProcess) Broadcast(round int) (sim.Message, int) {
 	misPhase := p.iterations * p.misTotal
 	if round < misPhase {
 		local := round % p.misTotal
@@ -146,14 +127,14 @@ func (p *TauCCDSProcess) BroadcastSleep(round int) (sim.Message, int) {
 			// boundary, where fresh bookkeeping runs.
 			return nil, round - local + p.misTotal
 		}
-		msg, wake := inner.BroadcastSleep(local)
+		msg, wake := inner.Broadcast(local)
 		p.noteWin(round)
 		return msg, round - local + wake
 	}
 	if !p.enterSearch(round) {
 		return nil, round + 1
 	}
-	msg, wake := p.enum.BroadcastSleep(round - misPhase)
+	msg, wake := p.enum.Broadcast(round - misPhase)
 	return msg, misPhase + wake
 }
 

@@ -85,7 +85,7 @@ func TestTauWinnerSilentInLaterIterations(t *testing.T) {
 		t.Fatalf("lone process should win iteration 0, won=%d", p.WonIteration())
 	}
 	for r := misTotal; r < 2*misTotal; r++ {
-		if msg := p.Broadcast(r); msg != nil {
+		if msg, _ := p.Broadcast(r); msg != nil {
 			t.Fatalf("iteration-0 winner broadcast during iteration 1 at round %d", r)
 		}
 		p.Receive(r, nil)

@@ -1,14 +1,24 @@
 package expr_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"runtime"
 	"testing"
 
 	"dualradio/internal/expr"
 )
 
+// quickDigest is the sha256 of `go run ./cmd/experiments -quick`'s output:
+// every table, in suite order, as Table.String() plus a newline. It is the
+// determinism oracle for the exact engine: any change to an execution moves
+// some table and hence the digest.
+const quickDigest = "09d6d371ff128296643175daf63061ff881f1b529ff030bc0443132bf6c79c94"
+
 // TestAllExperimentsRun executes the complete reproduction suite at quick
 // scale: every experiment must complete without error and carry a table and
-// at least one metric. This is the end-to-end guard behind cmd/experiments.
+// at least one metric, and on amd64 the tables must hash to quickDigest.
+// This is the end-to-end guard behind cmd/experiments.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep")
@@ -21,6 +31,7 @@ func TestAllExperimentsRun(t *testing.T) {
 		t.Fatalf("only %d experiments ran", len(results))
 	}
 	seen := map[string]bool{}
+	h := sha256.New()
 	for _, r := range results {
 		if seen[r.ID] {
 			t.Errorf("duplicate experiment id %s", r.ID)
@@ -35,6 +46,17 @@ func TestAllExperimentsRun(t *testing.T) {
 		if r.Claim == "" {
 			t.Errorf("%s: missing claim", r.ID)
 		}
+		if r.Table != nil {
+			h.Write([]byte(r.Table.String() + "\n"))
+		}
+	}
+	// Other architectures may fuse multiply-adds, which can move a
+	// formatted float; the digest is pinned where it was recorded.
+	if runtime.GOARCH != "amd64" {
+		return
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != quickDigest {
+		t.Errorf("experiments -quick digest = %s, want %s", got, quickDigest)
 	}
 }
 

@@ -32,15 +32,15 @@ type probeMsg struct {
 func (m probeMsg) From() int    { return m.from }
 func (m probeMsg) BitSize() int { return m.bits }
 
-func (p *bbProbe) Broadcast(round int) sim.Message {
+func (p *bbProbe) Broadcast(round int) (sim.Message, int) {
 	if round >= p.window {
 		p.done = true
-		return nil
+		return nil, round + 1
 	}
 	if p.sender && p.rng.Float64() < 0.5 {
-		return probeMsg{from: p.id, bits: 32}
+		return probeMsg{from: p.id, bits: 32}, round + 1
 	}
-	return nil
+	return nil, round + 1
 }
 
 func (p *bbProbe) Receive(_ int, msg sim.Message) {
@@ -149,14 +149,14 @@ type decayProbe struct {
 
 var _ sim.Process = (*decayProbe)(nil)
 
-func (p *decayProbe) Broadcast(round int) sim.Message {
+func (p *decayProbe) Broadcast(round int) (sim.Message, int) {
 	total := p.phases * p.phaseLen
 	if round >= total {
 		p.done = true
-		return nil
+		return nil, round + 1
 	}
 	if p.center {
-		return nil
+		return nil, round + 1
 	}
 	phase := round / p.phaseLen
 	prob := math.Ldexp(1/float64(p.n), phase)
@@ -164,9 +164,9 @@ func (p *decayProbe) Broadcast(round int) sim.Message {
 		prob = 0.5
 	}
 	if p.rng.Float64() < prob {
-		return probeMsg{from: p.id, bits: 32}
+		return probeMsg{from: p.id, bits: 32}, round + 1
 	}
-	return nil
+	return nil, round + 1
 }
 
 func (p *decayProbe) Receive(round int, msg sim.Message) {

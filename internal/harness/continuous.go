@@ -58,16 +58,7 @@ func (s *Scenario) RunContinuousCCDS(dyn detector.Dynamic, periods int, checkpoi
 		procs[v] = p
 		period = p.Period()
 	}
-	runner, err := sim.NewRunner(sim.Config{
-		Net:         s.Net,
-		Adversary:   s.Adv,
-		Processes:   procs,
-		MessageBits: s.B,
-		MaxRounds:   periods*period + 1,
-		Observer:    s.Observer,
-		Workers:     s.Workers,
-		Leap:        s.Leap,
-	})
+	runner, err := s.newRunner(procs, periods*period+1)
 	if err != nil {
 		return nil, err
 	}

@@ -43,8 +43,6 @@ type Scenario struct {
 	// schedule (Rounds, Broadcasts, ...) do differ; leave this off when
 	// those matter.
 	StopWhenDecided bool
-	// Workers fans process callbacks out over goroutines when > 1.
-	Workers int
 	// Leap selects the leap engine (sim.Config.Leap): geometric round
 	// sampling and clock jumps over broadcast-free stretches. Executions are
 	// statistically equivalent to the exact engine but not bit-identical.
@@ -141,26 +139,103 @@ func collect(r *sim.Runner, inMIS func(p sim.Process) bool) *Outcome {
 	return out
 }
 
-func (s *Scenario) run(procs []sim.Process, maxRounds int) (*sim.Runner, error) {
-	runner, err := sim.NewRunner(sim.Config{
+// run executes procs under the scenario. untilDecided stops the execution
+// once every process has decided; otherwise it runs until every process is
+// done or maxRounds elapse.
+func (s *Scenario) run(procs []sim.Process, maxRounds int, untilDecided bool) (*sim.Runner, error) {
+	runner, err := s.newRunner(procs, maxRounds)
+	if err != nil {
+		return nil, err
+	}
+	if untilDecided {
+		// The runner tracks decisions incrementally, so the stop
+		// condition is O(1) per round instead of an O(n) scan.
+		_, err = runner.RunUntil(runner.AllDecided)
+	} else {
+		_, err = runner.Run()
+	}
+	return runner, err
+}
+
+// newRunner builds the engine for procs: the one place a scenario's
+// sim.Config is assembled.
+func (s *Scenario) newRunner(procs []sim.Process, maxRounds int) (*sim.Runner, error) {
+	return sim.NewRunner(sim.Config{
 		Net:         s.Net,
 		Adversary:   s.Adv,
 		Processes:   procs,
 		MessageBits: s.B,
 		MaxRounds:   maxRounds,
 		Observer:    s.Observer,
-		Workers:     s.Workers,
 		Leap:        s.Leap,
 	})
+}
+
+// fixedProcess is a process with a fixed schedule length (see sim.Process).
+type fixedProcess interface {
+	sim.Process
+	Rounds() int
+}
+
+// runFixed is the shared body of the fixed-schedule algorithms: validate the
+// scenario, build one process per node (build receives the node and the
+// network's Δ), run the schedule (to MaxRounds when set, else one round past
+// its end so every process observes completion), and collect the outcome.
+// CCDS algorithms require a positive message bound.
+func runFixed[P fixedProcess](s *Scenario, ccds bool, build func(v, delta int) (P, error), inMIS func(P) bool) (*Outcome, error) {
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
+	if ccds && s.B <= 0 {
+		return nil, errors.New("harness: CCDS requires a positive message bound B")
+	}
+	n := s.Net.N()
+	delta := s.Net.Delta()
+	procs := make([]sim.Process, n)
+	var total int
+	for v := 0; v < n; v++ {
+		p, err := build(v, delta)
+		if err != nil {
+			return nil, err
+		}
+		procs[v] = p
+		total = p.Rounds()
+	}
+	maxRounds := s.MaxRounds
+	if maxRounds == 0 {
+		maxRounds = total + 1
+	}
+	runner, err := s.run(procs, maxRounds, s.StopWhenDecided)
 	if err != nil {
 		return nil, err
 	}
-	if s.StopWhenDecided {
-		_, err = runner.RunUntil(runner.AllDecided)
-	} else {
-		_, err = runner.Run()
+	return collect(runner, func(p sim.Process) bool { return inMIS(p.(P)) }), nil
+}
+
+// misConfig returns the MIS process configuration of node v.
+func (s *Scenario) misConfig(v int, filter core.FilterMode) core.MISConfig {
+	return core.MISConfig{
+		ID:       s.Asg.ID(v),
+		N:        s.Net.N(),
+		Detector: s.detSet(v),
+		Filter:   filter,
+		Params:   s.params(),
+		Rng:      s.RngFor(v),
 	}
-	return runner, err
+}
+
+// ccdsConfig returns the CCDS process configuration of node v in a network
+// of maximum degree delta.
+func (s *Scenario) ccdsConfig(v, delta int) core.CCDSConfig {
+	return core.CCDSConfig{
+		ID:       s.Asg.ID(v),
+		N:        s.Net.N(),
+		Delta:    delta,
+		B:        s.B,
+		Detector: s.detSet(v),
+		Params:   s.params(),
+		Rng:      s.RngFor(v),
+	}
 }
 
 // RunMIS executes the Section 4 MIS algorithm with 0-complete-style
@@ -172,165 +247,35 @@ func (s *Scenario) RunMIS() (*Outcome, error) {
 // RunMISFiltered executes the Section 4 MIS algorithm with an explicit
 // reception filter (FilterNone reproduces the classic-model variant).
 func (s *Scenario) RunMISFiltered(filter core.FilterMode) (*Outcome, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	n := s.Net.N()
-	procs := make([]sim.Process, n)
-	var total int
-	for v := 0; v < n; v++ {
-		p, err := core.NewMISProcess(core.MISConfig{
-			ID:       s.Asg.ID(v),
-			N:        n,
-			Detector: s.detSet(v),
-			Filter:   filter,
-			// Mutual filtering needs the sender's detector set on the
-			// wire (the Section 6 labeling rule).
-			LabelMessages: filter == core.FilterMutual,
-			Params:        s.params(),
-			Rng:           s.RngFor(v),
-		})
-		if err != nil {
-			return nil, err
-		}
-		procs[v] = p
-		total = p.Rounds()
-	}
-	maxRounds := s.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = total + 1
-	}
-	runner, err := s.run(procs, maxRounds)
-	if err != nil {
-		return nil, err
-	}
-	return collect(runner, func(p sim.Process) bool {
-		return p.(*core.MISProcess).InMIS()
-	}), nil
+	return runFixed(s, false, func(v, _ int) (*core.MISProcess, error) {
+		cfg := s.misConfig(v, filter)
+		// Mutual filtering needs the sender's detector set on the wire
+		// (the Section 6 labeling rule).
+		cfg.LabelMessages = filter == core.FilterMutual
+		return core.NewMISProcess(cfg)
+	}, (*core.MISProcess).InMIS)
 }
 
 // RunCCDS executes the Section 5 banned-list CCDS algorithm.
 func (s *Scenario) RunCCDS() (*Outcome, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	if s.B <= 0 {
-		return nil, errors.New("harness: CCDS requires a positive message bound B")
-	}
-	n := s.Net.N()
-	delta := s.Net.Delta()
-	procs := make([]sim.Process, n)
-	var total int
-	for v := 0; v < n; v++ {
-		p, err := core.NewCCDSProcess(core.CCDSConfig{
-			ID:       s.Asg.ID(v),
-			N:        n,
-			Delta:    delta,
-			B:        s.B,
-			Detector: s.detSet(v),
-			Params:   s.params(),
-			Rng:      s.RngFor(v),
-		})
-		if err != nil {
-			return nil, err
-		}
-		procs[v] = p
-		total = p.Rounds()
-	}
-	maxRounds := s.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = total + 1
-	}
-	runner, err := s.run(procs, maxRounds)
-	if err != nil {
-		return nil, err
-	}
-	return collect(runner, func(p sim.Process) bool {
-		return p.(*core.CCDSProcess).InMIS()
-	}), nil
+	return runFixed(s, true, func(v, delta int) (*core.CCDSProcess, error) {
+		return core.NewCCDSProcess(s.ccdsConfig(v, delta))
+	}, (*core.CCDSProcess).InMIS)
 }
 
 // RunBaselineCCDS executes the naive enumeration CCDS used as the Section 5
 // comparison point.
 func (s *Scenario) RunBaselineCCDS() (*Outcome, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	if s.B <= 0 {
-		return nil, errors.New("harness: CCDS requires a positive message bound B")
-	}
-	n := s.Net.N()
-	delta := s.Net.Delta()
-	procs := make([]sim.Process, n)
-	var total int
-	for v := 0; v < n; v++ {
-		p, err := core.NewBaselineCCDSProcess(core.CCDSConfig{
-			ID:       s.Asg.ID(v),
-			N:        n,
-			Delta:    delta,
-			B:        s.B,
-			Detector: s.detSet(v),
-			Params:   s.params(),
-			Rng:      s.RngFor(v),
-		})
-		if err != nil {
-			return nil, err
-		}
-		procs[v] = p
-		total = p.Rounds()
-	}
-	maxRounds := s.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = total + 1
-	}
-	runner, err := s.run(procs, maxRounds)
-	if err != nil {
-		return nil, err
-	}
-	return collect(runner, func(p sim.Process) bool {
-		return p.(*core.BaselineCCDSProcess).InMIS()
-	}), nil
+	return runFixed(s, true, func(v, delta int) (*core.BaselineCCDSProcess, error) {
+		return core.NewBaselineCCDSProcess(s.ccdsConfig(v, delta))
+	}, (*core.BaselineCCDSProcess).InMIS)
 }
 
 // RunTauCCDS executes the Section 6 CCDS algorithm for τ-complete detectors.
 func (s *Scenario) RunTauCCDS(tau int) (*Outcome, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	if s.B <= 0 {
-		return nil, errors.New("harness: CCDS requires a positive message bound B")
-	}
-	n := s.Net.N()
-	delta := s.Net.Delta()
-	procs := make([]sim.Process, n)
-	var total int
-	for v := 0; v < n; v++ {
-		p, err := core.NewTauCCDSProcess(core.CCDSConfig{
-			ID:       s.Asg.ID(v),
-			N:        n,
-			Delta:    delta,
-			B:        s.B,
-			Detector: s.detSet(v),
-			Params:   s.params(),
-			Rng:      s.RngFor(v),
-		}, tau)
-		if err != nil {
-			return nil, err
-		}
-		procs[v] = p
-		total = p.Rounds()
-	}
-	maxRounds := s.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = total + 1
-	}
-	runner, err := s.run(procs, maxRounds)
-	if err != nil {
-		return nil, err
-	}
-	return collect(runner, func(p sim.Process) bool {
-		return p.(*core.TauCCDSProcess).Dominator()
-	}), nil
+	return runFixed(s, true, func(v, delta int) (*core.TauCCDSProcess, error) {
+		return core.NewTauCCDSProcess(s.ccdsConfig(v, delta), tau)
+	}, (*core.TauCCDSProcess).Dominator)
 }
 
 // RunAsyncMIS executes the Section 9 asynchronous-start MIS variant. wake
@@ -347,14 +292,7 @@ func (s *Scenario) RunAsyncMIS(wake []int, filter core.FilterMode) (*AsyncOutcom
 	}
 	procs := make([]sim.Process, n)
 	for v := 0; v < n; v++ {
-		p, err := core.NewAsyncMISProcess(core.MISConfig{
-			ID:       s.Asg.ID(v),
-			N:        n,
-			Detector: s.detSet(v),
-			Filter:   filter,
-			Params:   s.params(),
-			Rng:      s.RngFor(v),
-		}, wake[v])
+		p, err := core.NewAsyncMISProcess(s.misConfig(v, filter), wake[v])
 		if err != nil {
 			return nil, err
 		}
@@ -364,22 +302,8 @@ func (s *Scenario) RunAsyncMIS(wake []int, filter core.FilterMode) (*AsyncOutcom
 	if maxRounds == 0 {
 		maxRounds = 1 << 20
 	}
-	runner, err := sim.NewRunner(sim.Config{
-		Net:         s.Net,
-		Adversary:   s.Adv,
-		Processes:   procs,
-		MessageBits: s.B,
-		MaxRounds:   maxRounds,
-		Observer:    s.Observer,
-		Workers:     s.Workers,
-		Leap:        s.Leap,
-	})
+	runner, err := s.run(procs, maxRounds, true)
 	if err != nil {
-		return nil, err
-	}
-	// The runner tracks decisions incrementally, so the stop condition is
-	// O(1) per round instead of an O(n) scan.
-	if _, err := runner.RunUntil(runner.AllDecided); err != nil {
 		return nil, err
 	}
 	base := collect(runner, func(p sim.Process) bool {

@@ -13,8 +13,8 @@ import (
 )
 
 // benchmarkMISRun measures raw engine throughput: full MIS executions per
-// second on a mid-size network, with the given worker count.
-func benchmarkMISRun(b *testing.B, n, workers int) {
+// second on a mid-size network.
+func benchmarkMISRun(b *testing.B, n int) {
 	b.Helper()
 	rng := rand.New(rand.NewPCG(1, 1))
 	net, err := gen.RandomGeometric(gen.GeometricConfig{N: n}, rng)
@@ -44,7 +44,6 @@ func benchmarkMISRun(b *testing.B, n, workers int) {
 			Net:       net,
 			Adversary: adversary.NewCollisionSeeking(net),
 			Processes: procs,
-			Workers:   workers,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -57,11 +56,8 @@ func benchmarkMISRun(b *testing.B, n, workers int) {
 	}
 }
 
-// BenchmarkEngineMIS256 measures sequential engine throughput.
-func BenchmarkEngineMIS256(b *testing.B) { benchmarkMISRun(b, 256, 1) }
-
-// BenchmarkEngineMIS256Parallel measures the goroutine-fanned engine.
-func BenchmarkEngineMIS256Parallel(b *testing.B) { benchmarkMISRun(b, 256, 8) }
+// BenchmarkEngineMIS256 measures engine throughput.
+func BenchmarkEngineMIS256(b *testing.B) { benchmarkMISRun(b, 256) }
 
 // BenchmarkEngineMIS1024 measures a larger instance.
-func BenchmarkEngineMIS1024(b *testing.B) { benchmarkMISRun(b, 1024, 1) }
+func BenchmarkEngineMIS1024(b *testing.B) { benchmarkMISRun(b, 1024) }

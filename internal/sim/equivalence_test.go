@@ -1,7 +1,6 @@
 package sim_test
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -12,6 +11,29 @@ import (
 	"dualradio/internal/gen"
 	"dualradio/internal/sim"
 )
+
+// buildMISProcs constructs identically seeded MIS process arrays.
+func buildMISProcs(t *testing.T, n int, det *detector.Detector,
+	asg *dualgraph.Assignment, seed uint64) []sim.Process {
+	t.Helper()
+	procs := make([]sim.Process, n)
+	for v := 0; v < n; v++ {
+		id := uint64(asg.ID(v))
+		p, err := core.NewMISProcess(core.MISConfig{
+			ID:       asg.ID(v),
+			N:        n,
+			Detector: det.Set(v),
+			Filter:   core.FilterDetector,
+			Params:   core.DefaultParams(),
+			Rng:      rand.New(rand.NewPCG(seed, id)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		procs[v] = p
+	}
+	return procs
+}
 
 // buildAsyncProcs constructs an identically-seeded async MIS fleet with
 // staggered wake rounds.
@@ -35,65 +57,45 @@ func buildAsyncProcs(t *testing.T, n int, asg *dualgraph.Assignment, seed uint64
 	return procs
 }
 
-// runMIS executes one seeded MIS fleet and returns outputs plus stats.
-func runMIS(t *testing.T, net *dualgraph.Network, det *detector.Detector,
-	asg *dualgraph.Assignment, n, workers int) ([]int, sim.Stats) {
-	t.Helper()
-	procs := buildMISProcs(t, n, det, asg, 4242)
-	r, err := sim.NewRunner(sim.Config{
-		Net:       net,
-		Adversary: adversary.NewCollisionSeeking(net),
-		Processes: procs,
-		Workers:   workers,
-	})
+// TestDeterministicAcrossRuns verifies two identically-seeded executions
+// are byte-identical.
+func TestDeterministicAcrossRuns(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 5))
+	n := 64
+	net, err := gen.RandomGeometric(gen.GeometricConfig{N: n}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(); err != nil {
-		t.Fatal(err)
-	}
-	outs := make([]int, n)
-	for v, p := range procs {
-		outs[v] = p.Output()
-	}
-	return outs, r.Stats()
-}
-
-// TestParallelEquivalenceAtThreshold pins the engine's parallel fan-out at
-// the activation threshold boundary (the engine stays sequential below 64
-// active processes) and at degenerate worker counts: for n in {63, 64, 65}
-// and workers in {1, 2, n-1, n, n+1}, every execution must be identical to
-// the sequential one — outputs and all engine counters.
-func TestParallelEquivalenceAtThreshold(t *testing.T) {
-	for _, n := range []int{63, 64, 65} {
-		rng := rand.New(rand.NewPCG(uint64(n), 17))
-		net, err := gen.RandomGeometric(gen.GeometricConfig{N: n}, rng)
+	asg := dualgraph.IdentityAssignment(n)
+	det := detector.Complete(net, asg)
+	var prev []int
+	for trial := 0; trial < 2; trial++ {
+		procs := buildMISProcs(t, n, det, asg, 13)
+		r, err := sim.NewRunner(sim.Config{Net: net, Processes: procs})
 		if err != nil {
 			t.Fatal(err)
 		}
-		asg := dualgraph.IdentityAssignment(n)
-		det := detector.Complete(net, asg)
-		refOut, refStats := runMIS(t, net, det, asg, n, 1)
-		for _, workers := range []int{2, n - 1, n, n + 1} {
-			t.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(t *testing.T) {
-				out, stats := runMIS(t, net, det, asg, n, workers)
-				for v := range refOut {
-					if out[v] != refOut[v] {
-						t.Fatalf("node %d: sequential output %d, %d workers -> %d",
-							v, refOut[v], workers, out[v])
-					}
-				}
-				if stats != refStats {
-					t.Errorf("stats diverge: seq %+v, workers=%d %+v", refStats, workers, stats)
-				}
-			})
+		if _, err := r.Run(); err != nil {
+			t.Fatal(err)
 		}
+		outs := make([]int, n)
+		for v, p := range procs {
+			outs[v] = p.Output()
+		}
+		if prev != nil {
+			for v := range outs {
+				if outs[v] != prev[v] {
+					t.Fatalf("node %d differs across identically seeded runs", v)
+				}
+			}
+		}
+		prev = outs
 	}
 }
 
 // TestAsyncActiveSetEquivalence drives the heterogeneous-completion path
 // (async processes finish individually, exercising the generic active-set
-// sweep and the wake calendar) across worker counts.
+// sweep and the wake calendar) against the whole-execution reference.
 func TestAsyncActiveSetEquivalence(t *testing.T) {
 	n := 80
 	rng := rand.New(rand.NewPCG(99, 3))
@@ -102,35 +104,12 @@ func TestAsyncActiveSetEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	asg := dualgraph.IdentityAssignment(n)
-
-	run := func(workers int) []int {
-		procs := buildAsyncProcs(t, n, asg, 7)
-		r, err := sim.NewRunner(sim.Config{
-			Net:       net,
-			Processes: procs,
-			MaxRounds: 1 << 18,
-			Workers:   workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.RunUntil(r.AllDecided); err != nil {
-			t.Fatal(err)
-		}
-		outs := make([]int, n)
-		for v, p := range procs {
-			outs[v] = p.Output()
-		}
-		return outs
+	f := refFleet{
+		name:         "async-mis",
+		build:        func(t *testing.T) []sim.Process { return buildAsyncProcs(t, n, asg, 7) },
+		maxRounds:    1 << 18,
+		untilDecided: true,
 	}
-
-	ref := run(1)
-	for _, workers := range []int{2, n} {
-		got := run(workers)
-		for v := range ref {
-			if got[v] != ref[v] {
-				t.Fatalf("workers=%d node %d: %d != %d", workers, v, got[v], ref[v])
-			}
-		}
-	}
+	none := func(*dualgraph.Network, uint64) adversary.Adversary { return adversary.None{} }
+	assertMatchesReference(t, net, f, none, 7)
 }

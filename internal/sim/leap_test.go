@@ -6,18 +6,18 @@ import (
 	"dualradio/internal/sim"
 )
 
-// calendarProc implements both sleep contracts: it broadcasts at a fixed
-// set of scripted rounds and sleeps in between, recording which entry point
-// the engine drove. It lets the leap tests observe engine dispatch without
-// any protocol randomness.
+// calendarProc implements both broadcast contracts: it broadcasts at a
+// fixed set of scripted rounds and sleeps in between, recording which entry
+// point the engine drove. It lets the leap tests observe engine dispatch
+// without any protocol randomness.
 type calendarProc struct {
-	id        int
-	total     int
-	script    map[int]sim.Message
-	leapCalls int
-	slowCalls int
-	driven    []int
-	recv      map[int]sim.Message
+	id         int
+	total      int
+	script     map[int]sim.Message
+	leapCalls  int
+	exactCalls int
+	driven     []int
+	recv       map[int]sim.Message
 }
 
 func newCalendarProc(id, total int, rounds ...int) *calendarProc {
@@ -46,13 +46,8 @@ func (p *calendarProc) next(round int) (sim.Message, int) {
 	return m, p.total
 }
 
-func (p *calendarProc) Broadcast(round int) sim.Message {
-	m, _ := p.next(round)
-	return m
-}
-
-func (p *calendarProc) BroadcastSleep(round int) (sim.Message, int) {
-	p.slowCalls++
+func (p *calendarProc) Broadcast(round int) (sim.Message, int) {
+	p.exactCalls++
 	return p.next(round)
 }
 
@@ -71,10 +66,7 @@ func (p *calendarProc) Done() bool      { return false }
 func (p *calendarProc) Rounds() int     { return p.total }
 func (p *calendarProc) PassiveReceive() {}
 
-var (
-	_ sim.SleepBroadcaster = (*calendarProc)(nil)
-	_ sim.LeapBroadcaster  = (*calendarProc)(nil)
-)
+var _ sim.LeapBroadcaster = (*calendarProc)(nil)
 
 // roundLog records which rounds the engine actually executed.
 type roundLog struct{ rounds []int }
@@ -94,7 +86,7 @@ func (a *skipLog) Reach(round int, _ []bool) []int { a.reach = append(a.reach, r
 func (a *skipLog) Skip(round, rounds int)          { a.skips = append(a.skips, [2]int{round, rounds}) }
 
 // TestLeapPrefersBroadcastLeap: with Config.Leap the engine drives
-// BroadcastLeap; without it, BroadcastSleep — on the same dual-contract
+// BroadcastLeap only; without it, Broadcast only — on the same dual-contract
 // process.
 func TestLeapPrefersBroadcastLeap(t *testing.T) {
 	for _, leap := range []bool{false, true} {
@@ -113,11 +105,11 @@ func TestLeapPrefersBroadcastLeap(t *testing.T) {
 			t.Fatal(err)
 		}
 		for v, p := range cps {
-			if leap && (p.leapCalls == 0 || p.slowCalls != 0) {
-				t.Errorf("leap: node %d drove leap=%d slow=%d, want leap only", v, p.leapCalls, p.slowCalls)
+			if leap && (p.leapCalls == 0 || p.exactCalls != 0) {
+				t.Errorf("leap: node %d drove leap=%d exact=%d, want leap only", v, p.leapCalls, p.exactCalls)
 			}
-			if !leap && (p.slowCalls == 0 || p.leapCalls != 0) {
-				t.Errorf("exact: node %d drove leap=%d slow=%d, want sleep only", v, p.leapCalls, p.slowCalls)
+			if !leap && (p.exactCalls == 0 || p.leapCalls != 0) {
+				t.Errorf("exact: node %d drove leap=%d exact=%d, want Broadcast only", v, p.leapCalls, p.exactCalls)
 			}
 		}
 	}

@@ -23,11 +23,9 @@ import (
 // switch), leaving late epochs globally broadcast-free — the regime where
 // round-skipping turns O(rounds) into O(events).
 //
-// Single-core-CI caveat: the ratio reported here is per-core work, with
-// Workers=1 on both sides. A parallel exact run can hide some per-round
-// overhead behind goroutines; the leap engine removes the rounds instead,
-// so the advantage persists — but absolute ns/op on shared CI runners is
-// noisy and only the exact/leap ratio on one machine is meaningful.
+// Single-core-CI caveat: both engines run one sequential round loop, so the
+// ratio reported here is per-core work; absolute ns/op on shared CI runners
+// is noisy and only the exact/leap ratio on one machine is meaningful.
 func benchmarkLeapMIS(b *testing.B, n int, leap, quiet bool, params core.Params) {
 	b.Helper()
 	rng := rand.New(rand.NewPCG(1, 1))
@@ -84,8 +82,8 @@ func quietParams() core.Params {
 // bernoulliProc is the quiet-phase microcosm: the decay-style broadcast
 // primitive every competition phase of the paper reduces to. Each round it
 // broadcasts with probability p — under the exact contract that means one
-// coin per round whether or not it transmits (so BroadcastSleep can never
-// sleep: the next round needs the next draw), while the leap contract
+// coin per round whether or not it transmits (so Broadcast can never sleep:
+// the next round needs the next draw), while the leap contract
 // samples the round of the next success geometrically and parks in the
 // wake calendar.
 type bernoulliProc struct {
@@ -105,9 +103,7 @@ func (b *bernoulliProc) flip(round int) sim.Message {
 	return nil
 }
 
-func (b *bernoulliProc) Broadcast(round int) sim.Message { return b.flip(round) }
-
-func (b *bernoulliProc) BroadcastSleep(round int) (sim.Message, int) {
+func (b *bernoulliProc) Broadcast(round int) (sim.Message, int) {
 	// Every round costs a coin, so the earliest possibly-broadcasting
 	// round is always the next one: the exact engine gets no skipping help.
 	return b.flip(round), round + 1
@@ -139,10 +135,7 @@ func (b *bernoulliProc) Done() bool               { return false }
 func (b *bernoulliProc) Rounds() int              { return b.total }
 func (b *bernoulliProc) PassiveReceive()          {}
 
-var (
-	_ sim.SleepBroadcaster = (*bernoulliProc)(nil)
-	_ sim.LeapBroadcaster  = (*bernoulliProc)(nil)
-)
+var _ sim.LeapBroadcaster = (*bernoulliProc)(nil)
 
 // benchmarkQuietPhase is the headline quiet-phase measurement: n broadcast
 // processes with per-round probability p over a long horizon. The exact

@@ -10,15 +10,14 @@
 //     that neighbor's message;
 //   - otherwise the node receives ⊥ (there is no collision detection).
 //
-// The engine is deterministic for a fixed seed and offers both a sequential
-// round loop and a parallel loop that fans process callbacks out over
-// goroutines with barrier synchronization; both produce identical executions.
+// The engine is deterministic for a fixed seed: one sequential round loop
+// drives every execution.
 //
 // Performance: the runner maintains an active set of processes that are not
-// yet Done and an incremental undecided counter, so each round costs
-// O(active + hits) engine work rather than O(n); per-round buffers (hit
-// counters, broadcaster and delivery lists, adversary reach slices) are
-// reused across rounds.
+// yet Done, a wake calendar of sleeping processes, and a monotone undecided
+// scan pointer, so each round costs O(runnable + hits) engine work rather
+// than O(n); per-round buffers (hit counters, broadcaster and delivery
+// lists, adversary reach slices) are reused across rounds.
 package sim
 
 import (
@@ -53,10 +52,46 @@ type Message interface {
 // Broadcast has been driven past round Rounds()-1, without querying Done
 // every round. Such a process must become done exactly there: Done must not
 // report true earlier and must not flip inside Receive.
+//
+// Sleeping. Broadcast returns, with the round's message, a wake round w: the
+// earliest future round in which the process might broadcast again (or
+// consume randomness deciding to). When the process stays silent the
+// engine skips its Broadcast calls for every round in (round, w) — a
+// knocked-out MIS competitor sleeps to its next epoch, a covered CCDS node
+// sleeps through the banned-list phase, an unwoken asynchronous process
+// sleeps to its wake-up round. A process that never sleeps returns
+// round+1. The engine ignores w on broadcast rounds: a broadcaster is
+// driven again in the next round.
+//
+// The bit-identity rule. Skipping the calls for (round, w) must leave the
+// execution bit-identical to driving them: the process would have returned
+// nil and changed no observable state in each of them. A reception may
+// postpone the process's next broadcast but must never move it earlier
+// than the declared wake round; Receive delivery itself is unaffected by
+// sleeping.
+//
+// The coin pre-consumption rule. Bit-identity constrains how randomness may
+// be handled while silent, and the exact engine's correctness hangs on it.
+// Protocols satisfy it in exactly one of two ways:
+//
+//   - No randomness while silent: the skipped rounds would not have touched
+//     the process's RNG at all, so the stream position is trivially
+//     preserved (the MIS and banned-list CCDS schedules).
+//   - Pre-consuming the skipped draws: when every round — silent or not —
+//     costs a fixed number of draws, Broadcast burns the skipped rounds'
+//     draws before declaring the sleep, leaving the stream exactly where a
+//     per-round drive would have left it (the enumeration-connect schedule,
+//     whose every round costs one coin).
+//
+// Both rules bind the exact engine only. The leap engine (Config.Leap)
+// drives LeapBroadcaster processes through BroadcastLeap instead, whose
+// contract abandons bit-identity and therefore owes nothing for skipped
+// rounds.
 type Process interface {
-	// Broadcast is called at the start of each round and returns the
-	// message to transmit, or nil to stay silent.
-	Broadcast(round int) Message
+	// Broadcast is called at the start of each round in which the
+	// process is awake and returns the message to transmit (nil to stay
+	// silent) together with the wake round described above.
+	Broadcast(round int) (Message, int)
 	// Receive reports the round's outcome to the process: the received
 	// message, or nil for ⊥ (silence or collision — indistinguishable).
 	// A broadcaster always receives its own message.
@@ -110,10 +145,6 @@ type Config struct {
 	MaxRounds int
 	// Observer, if non-nil, is invoked after every round.
 	Observer Observer
-	// Workers > 1 fans the Broadcast and Receive callbacks out over this
-	// many goroutines per round. The execution is identical to the
-	// sequential one because processes own disjoint state and RNG streams.
-	Workers int
 	// Leap enables the leap-ahead event engine: processes implementing
 	// LeapBroadcaster are driven through BroadcastLeap (which samples the
 	// next broadcast round geometrically instead of flipping a coin per
@@ -155,20 +186,19 @@ type Runner struct {
 	isActive       []bool
 	deadline       []int
 	firstUndecided int
-	// Sleep bookkeeping: sleepers[v] is non-nil for SleepBroadcaster
-	// processes; sleepUntil[v] is the round before which Broadcast calls
-	// are skipped. passive[v] marks PassiveReceiver processes; when every
-	// process is passive the delivery phase walks only the hit nodes.
-	sleepers   []SleepBroadcaster
+	// Sleep bookkeeping: sleepUntil[v] is the round before which
+	// Broadcast calls are skipped. leapers[v] is non-nil for
+	// LeapBroadcaster processes when Config.Leap is set. passive[v] marks
+	// PassiveReceiver processes; when every process is passive the
+	// delivery phase walks only the hit nodes.
 	sleepUntil []int
+	leapers    []LeapBroadcaster
 	passive    []bool
 	allPassive bool
 	// Wake calendar: runnable is the awake subset of active (ascending);
 	// sleeping processes sit in a min-heap of (wakeRound, node) pairs and
 	// are merged back when their round arrives, so a round's broadcast
-	// loop costs O(runnable) rather than O(active). Maintained by the
-	// sequential path only; the parallel path falls back to per-process
-	// sleep checks over the full active set.
+	// loop costs O(runnable) rather than O(active).
 	runnable []int32
 	wakeHeap []int64
 	scratch  []int32
@@ -185,54 +215,16 @@ type fixedLength interface {
 	Rounds() int
 }
 
-// SleepBroadcaster is an optional Process extension for protocols that can
-// tell the engine, whenever they stay silent, the earliest future round in
-// which they might broadcast again (or consume randomness deciding to). The
-// engine then skips their Broadcast calls for the intervening rounds — a
-// knocked-out MIS competitor sleeps to its next epoch, a covered CCDS node
-// sleeps through the banned-list phase, an unwoken asynchronous process
-// sleeps to its wake-up round.
-//
-// BroadcastSleep must behave exactly like Broadcast, additionally returning
-// a wake round w with the guarantee that skipping the Broadcast calls for
-// every round in (round, w) leaves the execution bit-identical: the process
-// would have returned nil and changed no observable state in each of them.
-//
-// The coin pre-consumption rule. Bit-identity constrains how randomness may
-// be handled while silent, and the exact engine's correctness hangs on it.
-// Protocols satisfy it in exactly one of two ways:
-//
-//   - No randomness while silent: the skipped rounds would not have touched
-//     the process's RNG at all, so the stream position is trivially
-//     preserved (the MIS and banned-list CCDS schedules).
-//   - Pre-consuming the skipped draws: when every round — silent or not —
-//     costs a fixed number of draws, BroadcastSleep burns the skipped
-//     rounds' draws before declaring the sleep, leaving the stream exactly
-//     where a per-round drive would have left it (the enumeration-connect
-//     schedule, whose every round costs one coin).
-//
-// This rule is load-bearing for the exact engine only. The leap engine
-// (Config.Leap) drives LeapBroadcaster processes instead, whose contract
-// abandons bit-identity and therefore owes nothing for skipped rounds.
-//
-// Receive delivery is unaffected by sleeping; a reception may postpone the
-// process's next broadcast but must never move it earlier than the declared
-// wake round.
-type SleepBroadcaster interface {
-	Process
-	BroadcastSleep(round int) (Message, int)
-}
-
 // LeapBroadcaster is the optional Process extension the leap engine
-// (Config.Leap) drives in place of Broadcast/BroadcastSleep. Like
-// BroadcastSleep it returns the round's message together with a wake round w
-// such that the process is guaranteed silent for every round in (round, w) —
-// but the guarantee is distributional, not bit-identical: BroadcastLeap may
-// sample its next broadcast round directly from the geometric distribution
-// of the per-round coin's first success instead of flipping the coin each
-// round, so skipped rounds owe no randomness at all (no draws, no
-// pre-consumption). The law of the execution must equal the exact engine's;
-// the realized trajectory for a fixed seed generally differs.
+// (Config.Leap) drives in place of Broadcast. Like Broadcast it returns the
+// round's message together with a wake round w such that the process is
+// guaranteed silent for every round in (round, w) — but the guarantee is
+// distributional, not bit-identical: BroadcastLeap may sample its next
+// broadcast round directly from the geometric distribution of the per-round
+// coin's first success instead of flipping the coin each round, so skipped
+// rounds owe no randomness at all (no draws, no pre-consumption). The law of
+// the execution must equal the exact engine's; the realized trajectory for a
+// fixed seed generally differs.
 //
 // A pre-sampled broadcast round may be invalidated by a reception that
 // changes the process's state before the round arrives (a knockout, a stop
@@ -240,19 +232,11 @@ type SleepBroadcaster interface {
 // at the wake round preserves the law: the discarded coins correspond to
 // stream positions the exact schedule would never have consumed after the
 // same state change, and the geometric distribution is memoryless. As with
-// BroadcastSleep, a reception may postpone the next broadcast but never move
-// it earlier than the declared wake round.
+// Broadcast, a reception may postpone the next broadcast but never move it
+// earlier than the declared wake round.
 type LeapBroadcaster interface {
 	Process
 	BroadcastLeap(round int) (Message, int)
-}
-
-// leapAdapter plugs a LeapBroadcaster into the engine's sleep-calendar
-// machinery, which dispatches through the SleepBroadcaster shape.
-type leapAdapter struct{ LeapBroadcaster }
-
-func (a leapAdapter) BroadcastSleep(round int) (Message, int) {
-	return a.BroadcastLeap(round)
 }
 
 // PassiveReceiver is an optional marker for processes whose Receive is a
@@ -272,6 +256,9 @@ func NewRunner(cfg Config) (*Runner, error) {
 		return nil, errors.New("sim: nil network")
 	}
 	n := cfg.Net.N()
+	if n > wakeNodeMask+1 {
+		return nil, fmt.Errorf("sim: %d nodes exceed the engine's limit of %d", n, wakeNodeMask+1)
+	}
 	if len(cfg.Processes) != n {
 		return nil, fmt.Errorf("sim: %d processes for %d nodes", len(cfg.Processes), n)
 	}
@@ -293,9 +280,11 @@ func NewRunner(cfg Config) (*Runner, error) {
 		active:     make([]int32, 0, n),
 		isActive:   make([]bool, n),
 		deadline:   make([]int, n),
-		sleepers:   make([]SleepBroadcaster, n),
 		sleepUntil: make([]int, n),
 		passive:    make([]bool, n),
+	}
+	if cfg.Leap {
+		r.leapers = make([]LeapBroadcaster, n)
 	}
 	if la, ok := adv.(adversary.ListAdversary); ok {
 		r.ladv = la
@@ -318,14 +307,10 @@ func NewRunner(cfg Config) (*Runner, error) {
 		}
 		if cfg.Leap {
 			// Leap mode prefers the distribution-preserving fast path;
-			// processes without one keep their exact sleep behavior.
+			// processes without one keep their exact Broadcast.
 			if lb, ok := p.(LeapBroadcaster); ok {
-				r.sleepers[v] = leapAdapter{lb}
-			} else if sb, ok := p.(SleepBroadcaster); ok {
-				r.sleepers[v] = sb
+				r.leapers[v] = lb
 			}
-		} else if sb, ok := p.(SleepBroadcaster); ok {
-			r.sleepers[v] = sb
 		}
 		if _, ok := p.(PassiveReceiver); ok {
 			r.passive[v] = true
@@ -338,13 +323,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 		}
 	}
 	r.runnable = append(r.runnable, r.active...)
-	if n > wakeNodeMask {
-		// Node ids beyond the heap key width cannot use the wake
-		// calendar; disable sleeping rather than corrupt keys.
-		for i := range r.sleepers {
-			r.sleepers[i] = nil
-		}
-	}
 	r.stats.DecidedRound = -1
 	return r, nil
 }
@@ -387,7 +365,8 @@ func (r *Runner) wakeRunnable() {
 }
 
 // wakeNodeMask packs (wakeRound<<20 | node) into one heap key; 20 bits cover
-// the engine's million-node ceiling while leaving 43 bits for rounds.
+// the engine's 2^20-node ceiling (enforced by NewRunner) while leaving 43
+// bits for rounds.
 const wakeNodeMask = 1<<20 - 1
 
 func (r *Runner) heapPush(key int64) {
@@ -462,10 +441,7 @@ func (r *Runner) Step() bool {
 
 	// Leap mode: when every awake process is parked in the wake calendar,
 	// the intervening rounds are provably broadcast-free — jump the clock
-	// straight to the earliest scheduled wake. (The runnable list is
-	// maintained by the sequential collect path; when it is stale — the
-	// parallel path leaves it at the full initial set — it is non-empty and
-	// the jump simply never fires.)
+	// straight to the earliest scheduled wake.
 	if r.cfg.Leap && len(r.runnable) == 0 && len(r.wakeHeap) > 0 {
 		if next := int(r.wakeHeap[0] >> 20); next > r.round {
 			target := min(next, r.cfg.MaxRounds)
@@ -585,6 +561,110 @@ func (r *Runner) Step() bool {
 	return true
 }
 
+// collectBroadcasts drives Broadcast on every runnable process, parking the
+// ones that declare a sleep in the wake calendar, builds the broadcaster
+// list, and validates message sizes. Done processes are skipped entirely:
+// by contract they never broadcast again.
+func (r *Runner) collectBroadcasts() {
+	// msgs[v] is written only for broadcasters: the slot is read solely
+	// under bcast[v] (self-reception) or via from[v] (which always names a
+	// current broadcaster), so stale entries are unreachable and the
+	// common silent round costs no interface stores or write barriers.
+	r.bList = r.bList[:0]
+	nr := r.runnable[:0]
+	for _, v := range r.runnable {
+		if !r.isActive[v] {
+			continue
+		}
+		if w := r.sleepUntil[v]; w > r.round {
+			r.heapPush(int64(w)<<20 | int64(v))
+			continue
+		}
+		nr = append(nr, v)
+		if m := r.broadcast(int(v)); m != nil {
+			r.msgs[v] = m
+			r.bcast[v] = true
+			r.bList = append(r.bList, int(v))
+		} else if r.bcast[v] {
+			r.bcast[v] = false
+		}
+	}
+	r.runnable = nr
+	if r.cfg.MessageBits > 0 {
+		// Only broadcasters carry messages, so the bound is checked on
+		// the (usually short) broadcaster list instead of all n slots.
+		for _, v := range r.bList {
+			if m := r.msgs[v]; m.BitSize() > r.cfg.MessageBits {
+				r.fatalErr = &SizeError{Node: v, Bits: m.BitSize(), Bound: r.cfg.MessageBits}
+				return
+			}
+		}
+	}
+}
+
+// broadcast asks the process at node v for its round message — through
+// BroadcastLeap when the leap engine drives it — and records a declared
+// sleep so collectBroadcasts parks the process until its wake round.
+func (r *Runner) broadcast(v int) Message {
+	var m Message
+	var wake int
+	if r.leapers != nil && r.leapers[v] != nil {
+		m, wake = r.leapers[v].BroadcastLeap(r.round)
+	} else {
+		m, wake = r.cfg.Processes[v].Broadcast(r.round)
+	}
+	if m == nil && wake > r.round+1 {
+		// Never sleep past a fixed-length process's final round:
+		// driving it there flips Done for outside observers.
+		if d := r.deadline[v]; d >= 0 && wake > d {
+			wake = d
+		}
+		r.sleepUntil[v] = wake
+	}
+	return m
+}
+
+// deliver dispatches the round outcome to every active process according to
+// the model's reception rule. Stats were already recorded (see
+// recordReceptions).
+//
+// When every process is a PassiveReceiver, nil and self receptions are
+// no-ops by contract, so only genuine deliveries are dispatched: the loop
+// walks the hit nodes instead of the whole active set.
+func (r *Runner) deliver() {
+	if r.allPassive {
+		for _, v := range r.touched {
+			if !r.bcast[v] && r.cnt[v] == 1 && r.isActive[v] {
+				r.cfg.Processes[v].Receive(r.round, r.msgs[r.from[v]])
+			}
+		}
+		return
+	}
+	for _, v := range r.active {
+		r.receive(int(v))
+	}
+}
+
+// receive delivers the round outcome to the process at node v: its own
+// message if it broadcast, the unique reaching message if exactly one
+// broadcaster reached it, and ⊥ otherwise.
+func (r *Runner) receive(v int) {
+	p := r.cfg.Processes[v]
+	if r.bcast[v] {
+		if !r.passive[v] {
+			p.Receive(r.round, r.msgs[v])
+		}
+		return
+	}
+	if r.cnt[v] == 1 {
+		p.Receive(r.round, r.msgs[r.from[v]])
+		return
+	}
+	if !r.passive[v] {
+		p.Receive(r.round, nil)
+	}
+}
+
 func (r *Runner) hit(v, from int) {
 	if r.cnt[v] == 0 {
 		r.touched = append(r.touched, int32(v))
@@ -643,3 +723,18 @@ func (r *Runner) RunUntil(cond func() bool) (Stats, error) {
 
 // Processes returns the configured processes (indexed by node).
 func (r *Runner) Processes() []Process { return r.cfg.Processes }
+
+// SizeError reports a message exceeding the configured bit bound.
+type SizeError struct {
+	Node  int
+	Bits  int
+	Bound int
+}
+
+// Error implements error.
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("sim: node %d sent %d bits, bound is %d", e.Node, e.Bits, e.Bound)
+}
+
+// Is reports whether target is ErrMessageTooLarge.
+func (e *SizeError) Is(target error) bool { return target == ErrMessageTooLarge }

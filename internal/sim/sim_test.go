@@ -41,7 +41,9 @@ func newScriptProc(id, limit int) *scriptProc {
 	}
 }
 
-func (p *scriptProc) Broadcast(round int) sim.Message { return p.script[round] }
+func (p *scriptProc) Broadcast(round int) (sim.Message, int) {
+	return p.script[round], round + 1
+}
 func (p *scriptProc) Receive(round int, msg sim.Message) {
 	p.recv[round] = msg
 	p.rounds++
@@ -263,5 +265,10 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := sim.NewRunner(sim.Config{Net: net, Processes: make([]sim.Process, 2)}); err == nil {
 		t.Error("process count mismatch accepted")
+	}
+	// Node indices must fit the wake calendar's 20-bit key field.
+	empty := graph.NewBuilder(1<<20 + 1).Build()
+	if _, err := sim.NewRunner(sim.Config{Net: dualgraph.New(empty, empty, nil, 2)}); err == nil {
+		t.Error("network above 2^20 nodes accepted")
 	}
 }
