@@ -1,10 +1,6 @@
 GO ?= go
-DATE := $(shell date +%F)
-# bench output path; override to avoid clobbering an existing snapshot taken
-# the same day (e.g. make bench OUT=BENCH_$(DATE)-pr2.json).
-OUT ?= BENCH_$(DATE).json
 
-.PHONY: build test check detvet fuzz-smoke bench bench-headline bench-sweep bench-report bench-leap verify serve sweep-e2e crash-e2e fleet-e2e metrics-e2e chaos
+.PHONY: build test check detvet fuzz-smoke verify serve sweep-e2e crash-e2e fleet-e2e metrics-e2e chaos
 
 build:
 	$(GO) build ./...
@@ -32,55 +28,18 @@ detvet:
 
 # fuzz-smoke runs the fuzzers briefly — long enough to replay the corpus
 # and shake the mutator, short enough for CI: the spec-canonicalization
-# fuzzer and the exact-vs-leap differential engine harness.
+# fuzzer, the exact-vs-leap differential engine harness, and the exact
+# engine against the naive whole-execution reference.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSpecCanonicalization -fuzztime 30s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzLeapDifferential -fuzztime 30s ./internal/harness
+	$(GO) test -run '^$$' -fuzz FuzzRunnerMatchesReference -fuzztime 30s ./internal/sim
 
 # serve runs the simulation service daemon (see examples/radiod/README.md
 # for the API quickstart; ADDR overrides the listen address).
 ADDR ?= :8080
 serve:
 	$(GO) run ./cmd/radiod -addr $(ADDR)
-
-# bench runs the full benchmark suite at quick scale (one iteration count,
-# memory stats) and records the run as a BENCH_<date>.json snapshot so the
-# perf trajectory is tracked in-repo. The snapshot splits the setup path
-# (BuildScenario benchmarks in internal/expr) from the run path.
-# internal/gen's BenchmarkAssemble (grid vs retained all-pairs reference) is
-# deliberately excluded: it exists for on-demand scaling comparisons and
-# would add an O(n²) reference sweep to every snapshot run.
-bench:
-	$(GO) test -run '^$$' -bench=. -benchmem -count=1 . ./internal/sim ./internal/expr \
-		| tee /dev/stderr \
-		| $(GO) run ./cmd/benchtool -out $(OUT)
-
-# bench-sweep snapshots the sweep/durability layer: sweep expansion and
-# the persistent store round trip (see BENCH_<date>-sweep.json).
-bench-sweep:
-	$(GO) test -run '^$$' -bench='BenchmarkSweepExpand|BenchmarkStoreRoundTrip' -benchmem -count=1 \
-		./internal/scenario ./internal/store \
-		| tee /dev/stderr \
-		| $(GO) run ./cmd/benchtool -out BENCH_$(DATE)-sweep.json
-
-# bench-leap snapshots the exact-vs-leap engine comparison: the distilled
-# quiet-phase pair (the acceptance ratio) plus full-MIS end-to-end pairs
-# (see BENCH_<date>-leap.json). Single-core-CI caveat: only the exact/leap
-# ratio measured on one machine is meaningful, not absolute ns/op.
-bench-leap:
-	$(GO) test -run '^$$' -bench='BenchmarkLeapVsExact' -benchmem -count=1 \
-		./internal/sim \
-		| tee /dev/stderr \
-		| $(GO) run ./cmd/benchtool -out BENCH_$(DATE)-leap.json
-
-# bench-report snapshots the streaming-reduction and report layer: the
-# trial reducer, the quantile-sketch accumulator, and the sweep pivot
-# (see BENCH_<date>-report.json).
-bench-report:
-	$(GO) test -run '^$$' -bench='BenchmarkReducer|BenchmarkAccumulator|BenchmarkBuildReport' -benchmem -count=1 \
-		./internal/scenario ./internal/stats ./internal/report \
-		| tee /dev/stderr \
-		| $(GO) run ./cmd/benchtool -out BENCH_$(DATE)-report.json
 
 # sweep-e2e runs the daemon restart / durability check CI runs (boots a
 # real radiod against a temp -data dir; see scripts/sweep_e2e.sh).
@@ -112,9 +71,3 @@ metrics-e2e:
 # isolation must absorb without changing the final report.
 chaos:
 	FAULT_SPEC=scripts/chaos_fault.json sh scripts/crash_e2e.sh
-
-# bench-headline runs only the acceptance benchmarks (E1/E3/E8 + setup).
-bench-headline:
-	$(GO) test -run '^$$' -bench='BenchmarkE1MISScaling|BenchmarkE3CCDSRounds|BenchmarkE8AsyncMIS' \
-		-benchmem -count=1 .
-	$(GO) test -run '^$$' -bench='BenchmarkBuildScenario' -benchmem -count=1 ./internal/expr

@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"dualradio/internal/expr"
@@ -41,38 +42,21 @@ func run() error {
 		cfg.Seeds = *seeds
 	}
 
-	all := map[string]func(expr.Config) (*expr.Result, error){
-		"E1":   expr.E1MISScaling,
-		"E2":   expr.E2MISDensity,
-		"E3":   expr.E3CCDSRounds,
-		"E4":   expr.E4TauCCDS,
-		"E5":   expr.E5LowerBound,
-		"E6":   expr.E6HittingGame,
-		"E7":   expr.E7DynamicCCDS,
-		"E8":   expr.E8AsyncMIS,
-		"E9":   expr.E9BannedListAblation,
-		"E10":  expr.E10Subroutines,
-		"E10b": expr.E10DirectedDecay,
-		"E11":  expr.E11Backbone,
-		"E12":  expr.E12ReannounceAblation,
-		"E13":  expr.E13IncompleteDetectors,
-		"E14":  expr.E14RadioBroadcast,
-		"E15":  expr.E15TauSweep,
+	ids := make([]string, len(expr.Experiments))
+	for i, e := range expr.Experiments {
+		ids[i] = e.ID
 	}
-	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9",
-		"E10", "E10b", "E11", "E12", "E13", "E14", "E15"}
-
-	selected := order
+	selected := ids
 	if *only != "" {
 		selected = strings.Split(*only, ",")
 	}
 	for _, id := range selected {
 		id = strings.TrimSpace(id)
-		runFn, ok := all[id]
-		if !ok {
-			return fmt.Errorf("unknown experiment %q (have %s)", id, strings.Join(order, ", "))
+		i := slices.Index(ids, id)
+		if i < 0 {
+			return fmt.Errorf("unknown experiment %q (have %s)", id, strings.Join(ids, ", "))
 		}
-		res, err := runFn(cfg)
+		res, err := expr.Experiments[i].Run(cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}

@@ -31,6 +31,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -208,7 +209,7 @@ func runSweep(path string, asJSON bool, workers int, metric, format string) erro
 	results := make([]*scenario.Result, 0, len(exp.Children))
 	for i, comp := range exp.Children {
 		c := comp.Spec()
-		res, err := comp.Run(nil, workers, nil)
+		res, err := comp.RunWithOptions(context.Background(), scenario.RunOptions{Workers: workers})
 		if err != nil {
 			return fmt.Errorf("child %d (%s): %w", i, c.Name, err)
 		}
@@ -277,12 +278,13 @@ func runSpec(path string, asJSON bool, workers int) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	res, err := comp.Run(nil, workers, func(p scenario.Progress) {
+	progress := func(p scenario.Progress) {
 		tr := p.Trial
 		fmt.Fprintf(os.Stderr, "trial %d/%d: rounds=%d decided=%d size=%d valid=%v (folded %d: mean-rounds=%.1f)\n",
 			tr.Trial+1, comp.Trials(), tr.Rounds, tr.DecidedRound, tr.Size, tr.Valid,
 			p.Folded, p.Aggregate.MeanRounds)
-	})
+	}
+	res, err := comp.RunWithOptions(context.Background(), scenario.RunOptions{Workers: workers, OnProgress: progress})
 	if err != nil {
 		return err
 	}

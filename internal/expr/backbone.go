@@ -81,29 +81,39 @@ func E11Backbone(cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// Experiment is one reproduction experiment: its table id and the
+// function that regenerates it.
+type Experiment struct {
+	ID  string
+	Run func(Config) (*Result, error)
+}
+
+// Experiments lists every experiment in suite order, the order All runs
+// them and cmd/experiments prints them.
+var Experiments = []Experiment{
+	{"E1", E1MISScaling},
+	{"E2", E2MISDensity},
+	{"E3", E3CCDSRounds},
+	{"E4", E4TauCCDS},
+	{"E5", E5LowerBound},
+	{"E6", E6HittingGame},
+	{"E7", E7DynamicCCDS},
+	{"E8", E8AsyncMIS},
+	{"E9", E9BannedListAblation},
+	{"E10", E10Subroutines},
+	{"E10b", E10DirectedDecay},
+	{"E11", E11Backbone},
+	{"E12", E12ReannounceAblation},
+	{"E13", E13IncompleteDetectors},
+	{"E14", E14RadioBroadcast},
+	{"E15", E15TauSweep},
+}
+
 // All runs every experiment in order and returns their results.
 func All(cfg Config) ([]*Result, error) {
-	runs := []func(Config) (*Result, error){
-		E1MISScaling,
-		E2MISDensity,
-		E3CCDSRounds,
-		E4TauCCDS,
-		E5LowerBound,
-		E6HittingGame,
-		E7DynamicCCDS,
-		E8AsyncMIS,
-		E9BannedListAblation,
-		E10Subroutines,
-		E10DirectedDecay,
-		E11Backbone,
-		E12ReannounceAblation,
-		E13IncompleteDetectors,
-		E14RadioBroadcast,
-		E15TauSweep,
-	}
-	out := make([]*Result, 0, len(runs))
-	for _, run := range runs {
-		r, err := run(cfg)
+	out := make([]*Result, 0, len(Experiments))
+	for _, e := range Experiments {
+		r, err := e.Run(cfg)
 		if err != nil {
 			return out, err
 		}

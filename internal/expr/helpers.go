@@ -12,12 +12,11 @@ func f(x float64) string { return stats.F(x) }
 // ratio renders "k/n" for success-rate columns.
 func ratio(k, n int) string { return fmt.Sprintf("%d/%d", k, n) }
 
-// statsOf summarizes a sample through the streaming accumulator, sized to
-// the sample so quantiles stay on the exact path: Mean and P90 — the only
-// fields the experiment tables consume — are bit-identical to the batch
-// Summarize, so the table output is unchanged.
+// statsOf summarizes a sample through the streaming accumulator: Mean and
+// P90 — the only fields the experiment tables consume — are bit-identical
+// to the batch Summarize, so the table output is unchanged.
 func statsOf(xs []float64) stats.Summary {
-	acc := stats.NewAccumulatorSize(len(xs))
+	acc := stats.NewAccumulator()
 	for _, x := range xs {
 		acc.Add(x)
 	}

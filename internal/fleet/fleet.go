@@ -447,7 +447,8 @@ func (c *Coordinator) reap() {
 }
 
 // Counters is the coordinator's cumulative gauge set, exposed via
-// /healthz, /metrics, and GET /v1/fleet.
+// GET /v1/fleet; the server's /metrics renders the worker, active-lease,
+// expiry and adoption fields as gauges.
 type Counters struct {
 	WorkersLive   int   `json:"workers_live"`
 	WorkersDead   int64 `json:"workers_dead"`

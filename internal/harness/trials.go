@@ -7,12 +7,13 @@ import (
 )
 
 // Trials runs count independent trials concurrently across GOMAXPROCS
-// workers and returns their results in trial order. It is the experiment
-// layer's scheduler: each trial derives all of its randomness from its own
-// index (per-trial PCG streams), so trials share no state and the results —
-// and therefore every table and metric reduced from them in index order —
-// are bit-identical to a sequential loop, regardless of worker count or
-// interleaving.
+// workers and returns their results in trial order. It is the one trial
+// scheduler, behind both the experiment layer and
+// scenario.Compiled.RunWithOptions: each trial derives all of its
+// randomness from its own index (per-trial PCG streams), so trials share
+// no state and the results — and therefore every table and metric reduced
+// from them in index order — are bit-identical to a sequential loop,
+// regardless of worker count or interleaving.
 //
 // On failure Trials returns the first error in trial order — the same error
 // the equivalent sequential loop would have surfaced — after letting every

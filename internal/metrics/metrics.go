@@ -2,7 +2,7 @@
 // simulation service: counters, gauges, and fixed-bucket histograms, each
 // optionally labeled, rendered in the Prometheus text exposition format
 // (with # HELP / # TYPE headers, escaped label values, and a stable line
-// order) and snapshottable as JSON for health endpoints.
+// order).
 //
 // The paper's algorithms are randomized — decision rounds, broadcast
 // counts, and therefore wallclock are distributions, not points — so the
@@ -60,7 +60,7 @@ type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
 	names    []string // registration order; rendering sorts a copy
-	collect  []func() // run before every render/snapshot
+	collect  []func() // run before every render
 	dropped  atomic.Int64
 }
 
@@ -115,9 +115,9 @@ func NewRegistry() *Registry {
 // onto an overflow series because their family hit its cardinality cap.
 func (r *Registry) DroppedSeries() int64 { return r.dropped.Load() }
 
-// OnCollect registers a hook run before every render and snapshot —
-// the place to refresh gauges computed from external state (queue depths,
-// per-worker heartbeat ages) at scrape time rather than on every change.
+// OnCollect registers a hook run before every render — the place to
+// refresh gauges computed from external state (queue depths, per-worker
+// heartbeat ages) at scrape time rather than on every change.
 func (r *Registry) OnCollect(fn func()) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -278,7 +278,7 @@ func (r *Registry) Gauge(name, help string) Gauge {
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at every
-// render and snapshot — for instantaneous values derived from live state.
+// render — for instantaneous values derived from live state.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	f := r.register(name, help, KindGauge, nil, nil)
 	s := f.seriesFor(r, nil)

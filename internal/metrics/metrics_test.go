@@ -248,23 +248,3 @@ func TestRegistrationConflictsPanic(t *testing.T) {
 		}()
 	}
 }
-
-func TestSnapshot(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c_total", "c").Add(7)
-	h := r.Histogram("h_seconds", "h", []float64{1, 10})
-	h.Observe(0.5)
-	h.Observe(5)
-	snap := r.Snapshot()
-	c := snap["c_total"]
-	if c.Kind != KindCounter || *c.Series[0].Value != 7 {
-		t.Fatalf("counter snapshot %+v", c)
-	}
-	hs := snap["h_seconds"]
-	if *hs.Series[0].Count != 2 || *hs.Series[0].Sum != 5.5 {
-		t.Fatalf("histogram snapshot %+v", hs.Series[0])
-	}
-	if hs.Series[0].Buckets["1"] != 1 || hs.Series[0].Buckets["10"] != 2 {
-		t.Fatalf("histogram buckets %+v", hs.Series[0].Buckets)
-	}
-}

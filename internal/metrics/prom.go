@@ -185,73 +185,3 @@ func escapeHelp(h string) string {
 func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
-
-// Snapshot families for JSON health endpoints.
-type (
-	// FamilySnapshot is one family: its kind, help, and series.
-	FamilySnapshot struct {
-		Kind   Kind             `json:"kind"`
-		Help   string           `json:"help,omitempty"`
-		Series []SeriesSnapshot `json:"series"`
-	}
-	// SeriesSnapshot is one series' current value(s). Value is set for
-	// counters and gauges; Count/Sum/Buckets for histograms (Buckets maps
-	// upper bound → cumulative count, +Inf omitted since it equals Count).
-	SeriesSnapshot struct {
-		Labels  map[string]string `json:"labels,omitempty"`
-		Value   *float64          `json:"value,omitempty"`
-		Count   *int64            `json:"count,omitempty"`
-		Sum     *float64          `json:"sum,omitempty"`
-		Buckets map[string]int64  `json:"buckets,omitempty"`
-	}
-)
-
-// Snapshot returns every family's current state keyed by name, for JSON
-// rendering in /healthz. Collect hooks run first, so scrape-time gauges
-// are fresh.
-func (r *Registry) Snapshot() map[string]FamilySnapshot {
-	r.runCollect()
-	r.mu.Lock()
-	names := append([]string(nil), r.names...)
-	r.mu.Unlock()
-	out := make(map[string]FamilySnapshot, len(names))
-	for _, name := range names {
-		r.mu.Lock()
-		f := r.families[name]
-		r.mu.Unlock()
-		rows := f.rows()
-		if len(rows) == 0 {
-			continue
-		}
-		fs := FamilySnapshot{Kind: f.kind, Help: f.help}
-		for _, row := range rows {
-			ss := SeriesSnapshot{}
-			if len(f.labels) > 0 {
-				ss.Labels = make(map[string]string, len(f.labels))
-				for i, l := range f.labels {
-					ss.Labels[l] = row.s.labelValues[i]
-				}
-			}
-			if f.kind == KindHistogram {
-				h := Histogram{f, row.s}
-				count, sum := h.Count(), h.Sum()
-				ss.Count, ss.Sum = &count, &sum
-				ss.Buckets = make(map[string]int64, len(f.buckets))
-				cum := int64(0)
-				for i, bound := range f.buckets {
-					cum += row.s.counts[i].Load()
-					ss.Buckets[formatValue(bound)] = cum
-				}
-			} else {
-				v := row.s.val.Load()
-				if row.s.gaugeFn != nil {
-					v = row.s.gaugeFn()
-				}
-				ss.Value = &v
-			}
-			fs.Series = append(fs.Series, ss)
-		}
-		out[name] = fs
-	}
-	return out
-}

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -31,7 +32,7 @@ func misSweep(t testing.TB) (*scenario.Expansion, []scenario.Aggregate) {
 	}
 	aggs := make([]scenario.Aggregate, len(exp.Children))
 	for i, c := range exp.Children {
-		res, err := c.Run(nil, 1, nil)
+		res, err := c.RunWithOptions(context.Background(), scenario.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +155,7 @@ func TestAxisFreeSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exp.Children[0].Run(nil, 1, nil)
+	res, err := exp.Children[0].RunWithOptions(context.Background(), scenario.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -106,7 +107,7 @@ func TestPresetAggregateMatchesExprMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := comp.Run(nil, 1, nil)
+	seq, err := comp.RunWithOptions(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestPresetAggregateMatchesExprMetrics(t *testing.T) {
 		t.Fatalf("preset valid fraction %v, expr E1 valid_64 %v",
 			seq.Aggregate.ValidFraction, wantValid)
 	}
-	par, err := comp.Run(nil, 4, nil)
+	par, err := comp.RunWithOptions(context.Background(), RunOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

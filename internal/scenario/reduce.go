@@ -26,16 +26,17 @@ func retainTrial(policy string, t TrialResult) bool {
 }
 
 // Reducer folds TrialResults incrementally into the run Aggregate. It is
-// the single aggregate implementation: Compiled.Run streams trials through
-// it (emitting live partial aggregates), and batch consumers fold a slice.
+// the single aggregate implementation: Compiled.RunWithOptions streams
+// trials through it (emitting live partial aggregates), and batch consumers
+// fold a slice.
 //
 // Folding trials in trial-index order produces an Aggregate bit-identical
 // to the historical batch computation: sums accumulate in the same order
-// with the same operations, and the decided-round quantiles ride
-// stats.Accumulator's exact path (the sketch capacity matches MaxTrials,
-// so a single run can never push it into approximation).
+// with the same operations, and the decided-round quantiles are
+// stats.Accumulator's exact ones.
 //
-// A Reducer is not safe for concurrent use; Run serializes folds.
+// A Reducer is not safe for concurrent use; RunWithOptions serializes
+// folds.
 type Reducer struct {
 	trials  int
 	valid   int
@@ -75,8 +76,9 @@ func (r *Reducer) Add(t TrialResult) {
 func (r *Reducer) Count() int { return r.trials }
 
 // Aggregate materializes the current aggregate. It may be called after any
-// prefix of trials — Run uses that to stream partial aggregates — and the
-// full-run call matches the legacy batch computation byte-for-byte.
+// prefix of trials — RunWithOptions uses that to stream partial
+// aggregates — and the full-run call matches the legacy batch computation
+// byte-for-byte.
 func (r *Reducer) Aggregate() Aggregate {
 	agg := Aggregate{Trials: r.trials}
 	if r.trials == 0 {

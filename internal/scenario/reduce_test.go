@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand/v2"
 	"reflect"
@@ -138,7 +139,7 @@ func TestEveryPresetAggregateByteIdentical(t *testing.T) {
 				t.Fatalf("streaming %s != legacy %s", got, want)
 			}
 			// And the full Run pipeline reports that same aggregate.
-			res, err := comp.Run(nil, 2, nil)
+			res, err := comp.RunWithOptions(context.Background(), RunOptions{Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +167,7 @@ func TestTrialRetentionPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := comp.Run(nil, 1, nil)
+		res, err := comp.RunWithOptions(context.Background(), RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,16 +244,19 @@ func TestProgressStreamsFoldedPrefix(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		lastFolded := 0
 		var lastAgg Aggregate
-		res, err := comp.Run(nil, workers, func(p Progress) {
+		// OnProgress runs on the trial workers' goroutines: t.Errorf, not
+		// t.Fatalf.
+		progress := func(p Progress) {
 			if p.Folded < lastFolded {
-				t.Fatalf("workers=%d: fold went backwards: %d after %d", workers, p.Folded, lastFolded)
+				t.Errorf("workers=%d: fold went backwards: %d after %d", workers, p.Folded, lastFolded)
 			}
 			if p.Aggregate.Trials != p.Folded {
-				t.Fatalf("workers=%d: aggregate covers %d trials, folded %d", workers, p.Aggregate.Trials, p.Folded)
+				t.Errorf("workers=%d: aggregate covers %d trials, folded %d", workers, p.Aggregate.Trials, p.Folded)
 			}
 			lastFolded = p.Folded
 			lastAgg = p.Aggregate
-		})
+		}
+		res, err := comp.RunWithOptions(context.Background(), RunOptions{Workers: workers, OnProgress: progress})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,12 +2,12 @@ package scenario
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"dualradio/internal/harness"
 )
 
 // Result is a complete scenario run: the aggregate the service reports plus
@@ -56,13 +56,13 @@ type Aggregate struct {
 	MeanLatency float64 `json:"mean_latency,omitempty"`
 }
 
-// Progress reports one completed trial to Run's callback, together with the
-// streaming reduction state. Trials complete in scheduling order (which is
-// nondeterministic with several workers), but the reducer folds them
-// strictly in trial-index order: Folded is the length of the contiguous
-// trial prefix reduced so far and Aggregate summarizes exactly that prefix,
-// so the streamed aggregates form a deterministic sequence ending in the
-// run's final Aggregate.
+// Progress reports one completed trial to RunWithOptions' callback,
+// together with the streaming reduction state. Trials complete in
+// scheduling order (which is nondeterministic with several workers), but
+// the reducer folds them strictly in trial-index order: Folded is the
+// length of the contiguous trial prefix reduced so far and Aggregate
+// summarizes exactly that prefix, so the streamed aggregates form a
+// deterministic sequence ending in the run's final Aggregate.
 type Progress struct {
 	// Trial is the trial that just completed.
 	Trial TrialResult
@@ -98,14 +98,6 @@ type RunOptions struct {
 	ObserveTrial func(d time.Duration)
 }
 
-// Run executes every trial, fanning them across workers goroutines
-// (values < 2 run sequentially), and streams the outcomes through the
-// reducer. The results — retained trials and aggregate — are identical for
-// every worker count. It is shorthand for RunWithOptions.
-func (c *Compiled) Run(ctx context.Context, workers int, onProgress func(Progress)) (*Result, error) {
-	return c.RunWithOptions(ctx, RunOptions{Workers: workers, OnProgress: onProgress})
-}
-
 // safeTrial runs one trial behind a recover boundary: a panicking trial —
 // from a poisoned input, a bug in an algorithm layer, or an injected
 // fault — becomes that trial's error instead of crashing the process. An
@@ -131,7 +123,10 @@ func (c *Compiled) safeTrial(trial int, opts RunOptions) (res TrialResult, err e
 	return c.RunTrial(trial)
 }
 
-// RunWithOptions executes every trial per opts.
+// RunWithOptions executes every trial per opts, scheduling them through
+// harness.TrialsWorkers, and streams the outcomes through the reducer. The
+// results — retained trials and aggregate — are identical for every worker
+// count.
 //
 // Cancellation is observed between trials: once ctx is done no new trial
 // starts, in-flight trials finish, and the run returns ctx's error with a
@@ -140,79 +135,59 @@ func (c *Compiled) safeTrial(trial int, opts RunOptions) (res TrialResult, err e
 // would have surfaced first).
 func (c *Compiled) RunWithOptions(ctx context.Context, opts RunOptions) (*Result, error) {
 	count := c.spec.Trials
-	onProgress := opts.OnProgress
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > count {
-		workers = count
-	}
 	retention := c.spec.TrialRetention
 	buf := make([]TrialResult, count) // reorder buffer for in-order folding
 	arrived := make([]bool, count)
-	errs := make([]error, count)
-	var done atomic.Int64
-	var failed atomic.Bool
-	var next atomic.Int64
 	red := NewReducer()
 	var retained []TrialResult
 	cursor := 0       // next trial index to fold
-	var mu sync.Mutex // serializes folding and onProgress
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if failed.Load() || (ctx != nil && ctx.Err() != nil) {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= count {
-					return
-				}
-				trialStart := time.Now() //detvet:wallclock per-trial latency observation only; never reaches TrialResult or the aggregate
-				r, err := c.safeTrial(i, opts)
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-					continue
-				}
-				if opts.ObserveTrial != nil {
-					opts.ObserveTrial(time.Since(trialStart)) //detvet:wallclock feeds the trial_duration histogram, not the result
-				}
-				done.Add(1)
-				mu.Lock()
-				buf[i], arrived[i] = r, true
-				for cursor < count && arrived[cursor] {
-					t := buf[cursor]
-					red.Add(t)
-					if retainTrial(retention, t) {
-						retained = append(retained, t)
-					}
-					buf[cursor] = TrialResult{} // folded; drop the buffered copy
-					cursor++
-				}
-				if onProgress != nil {
-					onProgress(Progress{Trial: r, Folded: cursor, Aggregate: red.Aggregate()})
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
+	failedAt := count // lowest failed trial index so far
+	var mu sync.Mutex // guards the fold state, failedAt, and OnProgress
+	_, err := harness.TrialsWorkers(count, opts.Workers, func(i int) (struct{}, error) {
+		// TrialsWorkers hands out i before this check, so a higher trial
+		// may already have failed while i was pending: only trials above
+		// the lowest failure are skipped, or a later trial's error could
+		// be reported in place of the one a sequential loop hits first.
+		mu.Lock()
+		skip := i > failedAt
+		mu.Unlock()
+		if skip || ctx.Err() != nil {
+			return struct{}{}, nil
+		}
+		trialStart := time.Now() //detvet:wallclock per-trial latency observation only; never reaches TrialResult or the aggregate
+		r, err := c.safeTrial(i, opts)
 		if err != nil {
-			return nil, err
+			mu.Lock()
+			failedAt = min(failedAt, i)
+			mu.Unlock()
+			return struct{}{}, err
 		}
+		if opts.ObserveTrial != nil {
+			opts.ObserveTrial(time.Since(trialStart)) //detvet:wallclock feeds the trial_duration histogram, not the result
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		buf[i], arrived[i] = r, true
+		for cursor < count && arrived[cursor] {
+			t := buf[cursor]
+			red.Add(t)
+			if retainTrial(retention, t) {
+				retained = append(retained, t)
+			}
+			buf[cursor] = TrialResult{} // folded; drop the buffered copy
+			cursor++
+		}
+		if opts.OnProgress != nil {
+			opts.OnProgress(Progress{Trial: r, Folded: cursor, Aggregate: red.Aggregate()})
+		}
+		return struct{}{}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if int(done.Load()) < count {
+	if cursor < count {
 		// Only cancellation leaves trials unrun without an error.
-		if ctx != nil && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, errors.New("scenario: run incomplete")
+		return nil, ctx.Err()
 	}
 	res := &Result{
 		SpecHash:  c.hash,

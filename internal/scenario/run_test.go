@@ -1,10 +1,13 @@
 package scenario
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 func compileQuick(t *testing.T, trials int) *Compiled {
@@ -24,7 +27,7 @@ func compileQuick(t *testing.T, trials int) *Compiled {
 // A panicking trial must become that trial's error, not a process crash.
 func TestRunRecoversTrialPanic(t *testing.T) {
 	comp := compileQuick(t, 4)
-	_, err := comp.RunWithOptions(nil, RunOptions{
+	_, err := comp.RunWithOptions(context.Background(), RunOptions{
 		Workers: 2,
 		Fault: func(trial, attempt int) error {
 			if trial == 2 {
@@ -48,7 +51,7 @@ func TestRunRecoversTrialPanic(t *testing.T) {
 // survives the recover boundary and the retry loop can see it.
 func TestRunPanicPreservesTransientMarking(t *testing.T) {
 	comp := compileQuick(t, 1)
-	_, err := comp.RunWithOptions(nil, RunOptions{
+	_, err := comp.RunWithOptions(context.Background(), RunOptions{
 		Fault: func(trial, attempt int) error {
 			panic(MarkTransient(errors.New("flaky subsystem")))
 		},
@@ -71,15 +74,39 @@ func TestRunThreadsAttemptToFaultHook(t *testing.T) {
 		}
 		return nil
 	}
-	if _, err := comp.RunWithOptions(nil, RunOptions{Fault: inject}); !IsTransient(err) {
+	if _, err := comp.RunWithOptions(context.Background(), RunOptions{Fault: inject}); !IsTransient(err) {
 		t.Fatalf("attempt 0: want transient injected error, got %v", err)
 	}
-	res, err := comp.RunWithOptions(nil, RunOptions{Attempt: 1, Fault: inject})
+	res, err := comp.RunWithOptions(context.Background(), RunOptions{Attempt: 1, Fault: inject})
 	if err != nil {
 		t.Fatalf("attempt 1: %v", err)
 	}
 	if res.Aggregate.Trials != 2 {
 		t.Fatalf("attempt 1 aggregated %d trials, want 2", res.Aggregate.Trials)
+	}
+}
+
+// With several workers the reported error is the lowest failed trial's,
+// not the first to fail in time: trial 4 fails at once while trial 3
+// sleeps before failing, and the run must still name trial 3 — the error a
+// sequential loop surfaces first.
+func TestRunReportsLowestFailedTrial(t *testing.T) {
+	comp := compileQuick(t, 8)
+	_, err := comp.RunWithOptions(context.Background(), RunOptions{
+		Workers: 4,
+		Fault: func(trial, attempt int) error {
+			switch trial {
+			case 3:
+				time.Sleep(50 * time.Millisecond)
+			case 4:
+			default:
+				return nil
+			}
+			return fmt.Errorf("injected fault at trial %d", trial)
+		},
+	})
+	if err == nil || !strings.Contains(err.Error(), "trial 3") {
+		t.Fatalf("run error %v, want trial 3's fault", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -293,7 +294,7 @@ func TestAlgorithmCoverageSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile: %v", s.Algorithm, err)
 		}
-		res, err := comp.Run(nil, 1, nil)
+		res, err := comp.RunWithOptions(context.Background(), RunOptions{})
 		if err != nil {
 			t.Fatalf("%s: run: %v", s.Algorithm, err)
 		}

@@ -252,14 +252,14 @@ func TestGracefulShutdownCompactsJournal(t *testing.T) {
 }
 
 // TestMetricsEndpoint: the plaintext gauges are served and carry the
-// fleet counters.
+// fleet gauges.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	code, body := getText(t, ts.URL+"/metrics")
 	if code != 200 {
 		t.Fatalf("GET /metrics: status %d", code)
 	}
-	for _, want := range []string{"radiod_queued ", "radiod_retries ", "radiod_fleet_workers_live 0", "radiod_fleet_redispatched 0"} {
+	for _, want := range []string{"radiod_queued ", "radiod_fleet_workers_live 0", "radiod_fleet_leases_active 0"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics output lacks %q:\n%s", want, body)
 		}

@@ -60,58 +60,17 @@ func submitStatus(err error) int {
 	}
 }
 
+// handleHealthz is the liveness probe. Every number the service reports
+// lives on /metrics; /healthz adds only what a sample value cannot carry:
+// the spec version and the active fault rules.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	jobs := len(s.jobs)
-	sweeps := len(s.sweeps)
-	replayedJobs, replayedSweeps, replayDropped := s.replayedJobs, s.replayedSweeps, s.replayDropped
-	s.mu.Unlock()
-	calibJobs, nsPerUnit := s.Calibration()
 	h := map[string]any{
-		"status":           "ok",
-		"jobs":             jobs,
-		"sweeps":           sweeps,
-		"queued":           len(s.queue),
-		"queue_depth":      s.cfg.QueueDepth,
-		"workers":          s.cfg.Workers,
-		"cache_len":        s.results.Len(),
-		"cache_cap":        s.results.Cap(),
-		"pending_cost":     s.pending.Load(),
-		"max_pending_cost": s.cfg.MaxPendingCost,
-		// Admission calibration: measured wallclock per cost unit over
-		// completed (non-cached) runs, for sanity-checking the analytic
-		// n·trials·rounds estimate against reality.
-		"calibration_jobs": calibJobs,
-		"ns_per_cost_unit": nsPerUnit,
-		"retries":          s.retries.Load(),
-		"spec_version":     scenario.SpecVersion,
-	}
-	if s.store != nil {
-		h["store_len"] = s.store.Len()
-		h["store_dir"] = s.store.Dir()
-		h["store_bytes"] = s.store.Bytes()
-		h["store_max_bytes"] = s.cfg.StoreMaxBytes
-		h["store_errors"] = s.storeErrs.Load()
-	}
-	if s.journal != nil {
-		h["journal_path"] = s.journal.Path()
-		h["journal_appends"] = s.journal.Appends()
-		h["journal_errors"] = s.journalErrs.Load()
-		h["replayed_jobs"] = replayedJobs
-		h["replayed_sweeps"] = replayedSweeps
-		h["replay_dropped"] = replayDropped
+		"status":       "ok",
+		"spec_version": scenario.SpecVersion,
 	}
 	if s.cfg.Fault != nil {
 		h["fault_rules"] = s.cfg.Fault.Rules()
 	}
-	fc := s.fleet.Snapshot().Counters
-	h["fleet_workers_live"] = fc.WorkersLive
-	h["fleet_workers_dead"] = fc.WorkersDead
-	h["fleet_leases_active"] = fc.LeasesActive
-	h["fleet_redispatched"] = fc.Redispatched
-	// The full registry — counters, gauges, histograms — as JSON, so health
-	// probes see everything /metrics exposes without parsing the text format.
-	h["metrics"] = s.metrics.Snapshot()
 	writeJSON(w, http.StatusOK, h)
 }
 

@@ -9,10 +9,8 @@ import (
 )
 
 // srvMetrics is the server's instrument set on its metrics registry: the
-// counters and histograms every layer reports into. The gauges /healthz
-// and the historical /metrics endpoint exposed keep their names and are
-// refreshed at scrape time (see registerBaseGauges), so existing scrape
-// pipelines keep working unchanged.
+// counters and histograms every layer reports into. The gauges are
+// refreshed at scrape time (see registerBaseGauges).
 type srvMetrics struct {
 	cacheHits   metrics.Counter
 	cacheMisses metrics.Counter
@@ -84,11 +82,13 @@ func presetLabel(spec scenario.Spec) string {
 	return "custom"
 }
 
-// registerBaseGauges migrates every gauge the pre-registry /metrics
-// endpoint emitted onto the registry, under the same metric names, plus
-// the registry's own dropped-series gauge. Values derived from live state
-// are refreshed by a collect hook at scrape time; fixed configuration is
-// set once.
+// registerBaseGauges registers the server's gauges plus the registry's own
+// dropped-series gauge. Values derived from live state are refreshed by a
+// collect hook at scrape time; fixed configuration is set once. Counts
+// that a counter already carries have no gauge: retries are
+// radiod_job_attempts_total{outcome="retry"}, and the fleet's lease,
+// completion, failure and redispatch totals are sums of
+// radiod_fleet_worker_*_total.
 func (s *Server) registerBaseGauges() {
 	r := s.metrics
 	jobs := r.Gauge("radiod_jobs", "Registered jobs (live plus retained terminal).")
@@ -96,16 +96,11 @@ func (s *Server) registerBaseGauges() {
 	queued := r.Gauge("radiod_queued", "Jobs waiting in the queue.")
 	cacheLen := r.Gauge("radiod_cache_len", "Resident result-cache entries.")
 	pendingCost := r.Gauge("radiod_pending_cost", "Admission-cost estimate of queued plus running jobs.")
-	retries := r.Gauge("radiod_retries", "Transient-failure retries scheduled.")
 	calibJobs := r.Gauge("radiod_calibration_jobs", "Completed non-cached runs feeding the cost calibration.")
 	nsPerUnit := r.Gauge("radiod_ns_per_cost_unit", "Measured nanoseconds per admission cost unit.")
 	fleetLive := r.Gauge("radiod_fleet_workers_live", "Live fleet workers.")
 	fleetDead := r.Gauge("radiod_fleet_workers_dead", "Fleet workers declared dead.")
 	fleetActive := r.Gauge("radiod_fleet_leases_active", "Outstanding fleet leases.")
-	fleetGranted := r.Gauge("radiod_fleet_leases_granted", "Work-unit leases granted.")
-	fleetCompleted := r.Gauge("radiod_fleet_completed", "Remotely completed jobs.")
-	fleetFailed := r.Gauge("radiod_fleet_failed", "Remotely failed jobs.")
-	fleetRedispatched := r.Gauge("radiod_fleet_redispatched", "Leases returned to the queue.")
 	fleetExpired := r.Gauge("radiod_fleet_leases_expired", "Leases expired by TTL.")
 	fleetAdopted := r.Gauge("radiod_fleet_adopted", "Late results adopted from void leases.")
 
@@ -125,7 +120,6 @@ func (s *Server) registerBaseGauges() {
 		queued.Set(float64(len(s.queue)))
 		cacheLen.Set(float64(s.results.Len()))
 		pendingCost.Set(float64(s.pending.Load()))
-		retries.Set(float64(s.retries.Load()))
 		cj, ns := s.Calibration()
 		calibJobs.Set(float64(cj))
 		nsPerUnit.Set(ns)
@@ -133,10 +127,6 @@ func (s *Server) registerBaseGauges() {
 		fleetLive.Set(float64(fc.WorkersLive))
 		fleetDead.Set(float64(fc.WorkersDead))
 		fleetActive.Set(float64(fc.LeasesActive))
-		fleetGranted.Set(float64(fc.LeasesGranted))
-		fleetCompleted.Set(float64(fc.Completed))
-		fleetFailed.Set(float64(fc.Failed))
-		fleetRedispatched.Set(float64(fc.Redispatched))
 		fleetExpired.Set(float64(fc.LeasesExpired))
 		fleetAdopted.Set(float64(fc.Adopted))
 	})

@@ -315,8 +315,8 @@ func TestTransientFaultRetriesToSuccess(t *testing.T) {
 	if retry.Attempt != 1 || !strings.Contains(retry.Error, "injected flake") {
 		t.Fatalf("retry event %+v lacks attempt count or cause", retry)
 	}
-	if got := svc.retries.Load(); got != 1 {
-		t.Fatalf("retries gauge %d, want 1", got)
+	if got := svc.srvm.attempts.With("retry").Value(); got != 1 {
+		t.Fatalf("retry attempts counter %v, want 1", got)
 	}
 }
 
@@ -436,8 +436,8 @@ func TestSpecTimeoutFailsPermanently(t *testing.T) {
 		t.Fatalf("timeout surfaced as %q; want a deadline failure", view.Error)
 	}
 	// Deterministic workloads time out identically on a rerun: no retry.
-	if view.Attempt != 0 || svc.retries.Load() != 0 {
-		t.Fatalf("timed-out job was retried (attempt %d, retries %d)", view.Attempt, svc.retries.Load())
+	if retries := svc.srvm.attempts.With("retry").Value(); view.Attempt != 0 || retries != 0 {
+		t.Fatalf("timed-out job was retried (attempt %d, retries %v)", view.Attempt, retries)
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"strings"
@@ -48,7 +49,7 @@ func TestSweepReportEndpoint(t *testing.T) {
 	}
 	aggs := make([]scenario.Aggregate, len(exp.Children))
 	for i, c := range exp.Children {
-		res, err := c.Run(nil, 1, nil)
+		res, err := c.RunWithOptions(context.Background(), scenario.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +114,7 @@ func TestSweepReportRequiresCompletion(t *testing.T) {
 }
 
 // TestCalibrationTracksCompletedJobs: completed (non-cached) jobs feed the
-// wallclock-per-cost-unit calibration and /healthz exposes it.
+// wallclock-per-cost-unit calibration and /metrics exposes it.
 func TestCalibrationTracksCompletedJobs(t *testing.T) {
 	svc, ts := newTestServer(t, Config{Workers: 1})
 	if jobs, ns := svc.Calibration(); jobs != 0 || ns != 0 {
@@ -137,11 +138,7 @@ func TestCalibrationTracksCompletedJobs(t *testing.T) {
 	if jobs2, _ := svc.Calibration(); jobs2 != 1 {
 		t.Fatalf("cache hit moved calibration to %d jobs", jobs2)
 	}
-	code, health := getJSON[map[string]any](t, ts.URL+"/healthz")
-	if code != http.StatusOK {
-		t.Fatalf("healthz: %d", code)
-	}
-	if health["calibration_jobs"].(float64) != 1 || health["ns_per_cost_unit"].(float64) <= 0 {
-		t.Fatalf("healthz calibration gauges: %v", health)
+	if metricValue(t, ts.URL, "radiod_calibration_jobs") != 1 || metricValue(t, ts.URL, "radiod_ns_per_cost_unit") <= 0 {
+		t.Fatal("/metrics calibration gauges do not reflect the one completed run")
 	}
 }

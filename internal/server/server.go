@@ -27,7 +27,7 @@
 //	GET    /v1/sweeps/{id}/events NDJSON child-completion stream
 //	GET    /v1/sweeps/{id}/report pivot report (metric, rows, cols, format=csv|json|table, partial=1)
 //	GET    /v1/presets            named preset specs
-//	GET    /healthz               liveness + queue/cache/store gauges + cost calibration
+//	GET    /healthz               liveness + spec version + active fault rules
 package server
 
 import (
@@ -166,7 +166,6 @@ type Server struct {
 	pending     atomic.Int64 // cost estimate of queued + running jobs
 	storeErrs   atomic.Int64 // persistence failures (best-effort writes)
 	journalErrs atomic.Int64 // journal write/parse failures (best-effort)
-	retries     atomic.Int64 // transient-failure retries scheduled
 
 	journal *journal.Journal // nil without DataDir
 
@@ -175,7 +174,7 @@ type Server struct {
 
 	// calib tracks measured wallclock per admission cost unit over
 	// completed (non-cached) jobs, so the analytic n·trials·rounds cost
-	// model can be sanity-checked against reality via /healthz.
+	// model can be sanity-checked against reality via /metrics.
 	calibMu    sync.Mutex
 	calibJobs  int
 	calibNanos float64 // total measured run wallclock
@@ -193,7 +192,7 @@ type Server struct {
 	// Journal-replay state (under mu). replaying switches startJobLocked to
 	// blocking queue sends and disables budget rejection — every replayed
 	// job was admitted before the crash, so recovery must not re-litigate
-	// admission. The gauges feed /healthz.
+	// admission. The gauges feed /metrics.
 	replaying      bool
 	replayedJobs   int
 	replayedSweeps int
@@ -387,13 +386,16 @@ func (s *Server) Submit(spec scenario.Spec) (*Job, error) {
 		s.srvm.admissions.With("job", "closed").Inc()
 		return nil, errors.New("server: closed")
 	}
+	// Prune before registering: a worker needs no s.mu to finish the new
+	// job, so pruning after it could count the job against History on its
+	// own submission, or not, depending on the schedule.
+	s.pruneLocked()
 	job, err := s.startJobLocked(fmt.Sprintf("j%06d", s.nextID+1), comp, res, cached, nil)
 	s.srvm.admit("job", err)
 	if err != nil {
 		return nil, err
 	}
 	s.nextID++
-	s.pruneLocked()
 	s.maybeCompactJournalLocked()
 	return job, nil
 }
@@ -503,6 +505,7 @@ func (s *Server) SubmitSweep(sw scenario.SweepSpec) (*Sweep, error) {
 		s.srvm.admissions.With("sweep", "closed").Inc()
 		return nil, errors.New("server: closed")
 	}
+	s.pruneLocked() // before registering, as in Submit
 	if len(s.queue)+need > cap(s.queue) {
 		s.srvm.admissions.With("sweep", "queue_full").Inc()
 		return nil, fmt.Errorf("%w: sweep needs %d queue slots", ErrQueueFull, need)
@@ -547,7 +550,6 @@ func (s *Server) SubmitSweep(sw scenario.SweepSpec) (*Sweep, error) {
 	}
 	s.sweeps[swp.id] = swp
 	s.sweepOrder = append(s.sweepOrder, swp.id)
-	s.pruneLocked()
 	s.maybeCompactJournalLocked()
 	s.srvm.admit("sweep", nil)
 	return swp, nil
@@ -770,7 +772,6 @@ func (s *Server) scheduleRetry(job *Job, cause error, attempt int) {
 		return // turned terminal concurrently (e.g. cancelled mid-failure)
 	}
 	s.srvm.attempts.With("retry").Inc()
-	s.retries.Add(1)
 	backoff := retryDelay(s.cfg.RetryBackoff, s.cfg.RetryMaxBackoff, job.id, attempt)
 	s.retryMu.Lock()
 	s.retryTimers[job] = time.AfterFunc(backoff, func() { s.fireRetry(job) })

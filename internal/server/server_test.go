@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -61,6 +62,24 @@ func getJSON[T any](t *testing.T, url string) (int, T) {
 		t.Fatalf("decode %s: %v", url, err)
 	}
 	return resp.StatusCode, v
+}
+
+// metricValue scrapes base's /metrics and returns the value of the
+// unlabeled series name.
+func metricValue(t *testing.T, base, name string) float64 {
+	t.Helper()
+	_, body := getText(t, base+"/metrics")
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics lacks %s:\n%s", name, body)
+	return 0
 }
 
 // quickSpec is a fast MIS workload (~ms per trial).
@@ -417,8 +436,11 @@ func TestHealthzAndPresets(t *testing.T) {
 	if code != http.StatusOK || health["status"] != "ok" {
 		t.Fatalf("healthz: %d %v", code, health)
 	}
-	if health["queue_depth"].(float64) != 7 || health["workers"].(float64) != 2 {
-		t.Fatalf("healthz gauges: %v", health)
+	if health["spec_version"] == nil || len(health) != 2 {
+		t.Fatalf("healthz %v, want exactly status and spec_version", health)
+	}
+	if metricValue(t, ts.URL, "radiod_queue_depth") != 7 || metricValue(t, ts.URL, "radiod_workers") != 2 {
+		t.Fatal("/metrics lost the configured queue depth or worker count")
 	}
 	code, presets := getJSON[struct{ Presets []scenario.Preset }](t, ts.URL+"/v1/presets")
 	if code != http.StatusOK || len(presets.Presets) == 0 {

@@ -407,3 +407,26 @@ func TestRunnerMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// FuzzRunnerMatchesReference runs the whole-execution oracle over fuzzed
+// cases: the instance seed, a small n, the protocol, and the adversary
+// kind. The corpus starts from TestRunnerMatchesReference's 60 cases.
+func FuzzRunnerMatchesReference(f *testing.F) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		for proto := uint8(0); proto < 5; proto++ {
+			for adv := range refAdversaries {
+				f.Add(seed, uint8(48), proto, uint8(adv))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, rawN, proto, adv uint8) {
+		n := int(rawN) % 65 // [0, 64]; the generator rejects n <= 2
+		net, err := gen.RandomGeometric(gen.GeometricConfig{N: n}, rand.New(rand.NewPCG(seed, 0x5EED)))
+		if err != nil {
+			return // unbuildable instance: nothing to compare
+		}
+		fleets := refFleets(t, net, seed)
+		a := refAdversaries[int(adv)%len(refAdversaries)]
+		assertMatchesReference(t, net, fleets[int(proto)%len(fleets)], a.make, seed)
+	})
+}

@@ -5,65 +5,49 @@ import (
 	"sort"
 )
 
-// DefaultSketchSize is the quantile sketch's default capacity. It matches
-// the scenario layer's per-run trial cap, so any single scenario run stays
-// on the sketch's exact path and streaming quantiles are bit-identical to
-// the batch Percentile computation.
-const DefaultSketchSize = 4096
-
-// Accumulator folds a sample one value at a time into bounded state:
-// count, sum, min/max, the Welford variance recurrence, and a quantile
-// sketch for Median/P90. It is the streaming counterpart of Summarize —
-// a reducer can fold millions of values without retaining them.
+// Accumulator folds a sample one value at a time: count, sum, min/max,
+// the Welford variance recurrence, and the values themselves for exact
+// Median/P90. It is the streaming counterpart of Summarize. Every caller's
+// sample is bounded — the scenario reducer by the per-run trial cap, a
+// report cell by the sweep child cap, the experiment tables by the sample
+// they summarize — so keeping the values costs no more than the batch form.
 //
 // Exactness contract: Mean is sum/count with additions in fold order, so it
 // is bit-identical to the batch Mean/Summarize computation over the same
-// values in the same order. Quantiles are exact (bit-identical to
-// Percentile) while the sketch has not compacted, i.e. for samples up to
-// the sketch capacity; beyond that they are approximations. Std uses the
-// Welford recurrence, which is numerically more stable than — and may
-// differ in the final bits from — Summarize's two-pass formula.
+// values in the same order, and Quantile is bit-identical to Percentile.
+// Std uses the Welford recurrence, which is numerically more stable than —
+// and may differ in the final bits from — Summarize's two-pass formula.
 type Accumulator struct {
-	n   int
-	sum float64
-	min float64
-	max float64
-	wm  float64 // Welford running mean (variance recurrence only)
-	m2  float64 // Welford sum of squared deviations
-	qs  QuantileSketch
+	sum    float64
+	min    float64
+	max    float64
+	wm     float64   // Welford running mean (variance recurrence only)
+	m2     float64   // Welford sum of squared deviations
+	xs     []float64 // every value folded; Quantile sorts it in place
+	sorted bool      // xs is currently sorted
 }
 
-// NewAccumulator returns an accumulator whose quantile sketch holds up to
-// DefaultSketchSize values exactly.
-func NewAccumulator() *Accumulator { return NewAccumulatorSize(DefaultSketchSize) }
-
-// NewAccumulatorSize returns an accumulator whose quantile sketch holds up
-// to cap values exactly (cap <= 0 means DefaultSketchSize). Sizing the
-// sketch to the expected sample keeps quantiles on the exact path.
-func NewAccumulatorSize(cap int) *Accumulator {
-	a := &Accumulator{}
-	a.qs.cap = cap
-	return a
-}
+// NewAccumulator returns an empty accumulator.
+func NewAccumulator() *Accumulator { return &Accumulator{} }
 
 // Add folds one value.
 func (a *Accumulator) Add(x float64) {
-	if a.n == 0 {
+	if len(a.xs) == 0 {
 		a.min, a.max = x, x
 	} else {
 		a.min = math.Min(a.min, x)
 		a.max = math.Max(a.max, x)
 	}
-	a.n++
+	a.xs = append(a.xs, x)
+	a.sorted = false
 	a.sum += x
 	d := x - a.wm
-	a.wm += d / float64(a.n)
+	a.wm += d / float64(len(a.xs))
 	a.m2 += d * (x - a.wm)
-	a.qs.Add(x)
 }
 
 // Count returns the number of values folded.
-func (a *Accumulator) Count() int { return a.n }
+func (a *Accumulator) Count() int { return len(a.xs) }
 
 // Sum returns the running sum.
 func (a *Accumulator) Sum() float64 { return a.sum }
@@ -71,19 +55,20 @@ func (a *Accumulator) Sum() float64 { return a.sum }
 // Mean returns sum/count (0 for an empty accumulator) — bit-identical to
 // the batch mean over the same fold order.
 func (a *Accumulator) Mean() float64 {
-	if a.n == 0 {
+	if len(a.xs) == 0 {
 		return 0
 	}
-	return a.sum / float64(a.n)
+	return a.sum / float64(len(a.xs))
 }
 
 // Std returns the sample standard deviation via Welford (0 for fewer than
 // two values).
 func (a *Accumulator) Std() float64 {
-	if a.n < 2 {
+	n := len(a.xs)
+	if n < 2 {
 		return 0
 	}
-	return math.Sqrt(a.m2 / float64(a.n-1))
+	return math.Sqrt(a.m2 / float64(n-1))
 }
 
 // Min returns the smallest value folded (0 when empty).
@@ -92,17 +77,27 @@ func (a *Accumulator) Min() float64 { return a.min }
 // Max returns the largest value folded (0 when empty).
 func (a *Accumulator) Max() float64 { return a.max }
 
-// Quantile returns the p-th percentile (0..100) from the sketch.
-func (a *Accumulator) Quantile(p float64) float64 { return a.qs.Quantile(p) }
+// Quantile returns the p-th percentile (0..100), bit-identical to
+// Percentile over the values folded so far.
+func (a *Accumulator) Quantile(p float64) float64 {
+	if len(a.xs) == 0 {
+		return 0
+	}
+	if !a.sorted {
+		sort.Float64s(a.xs)
+		a.sorted = true
+	}
+	return percentileSorted(a.xs, p)
+}
 
 // Summary materializes the streaming state as a Summary. See the type
 // comment for how it relates to Summarize bit-for-bit.
 func (a *Accumulator) Summary() Summary {
-	if a.n == 0 {
+	if len(a.xs) == 0 {
 		return Summary{}
 	}
 	return Summary{
-		N:      a.n,
+		N:      len(a.xs),
 		Mean:   a.Mean(),
 		Std:    a.Std(),
 		Min:    a.min,
@@ -110,149 +105,4 @@ func (a *Accumulator) Summary() Summary {
 		Median: a.Quantile(50),
 		P90:    a.Quantile(90),
 	}
-}
-
-// QuantileSketch is a bounded-memory quantile estimator: it buffers values
-// exactly up to its capacity, and past it compacts by merging adjacent
-// sorted pairs into weighted midpoints (halving residency, doubling
-// weights). While uncompacted, Quantile is bit-identical to Percentile
-// over the same values; after compaction it is an approximation whose rank
-// error grows with the compaction count. The zero value is ready to use
-// with DefaultSketchSize capacity.
-type QuantileSketch struct {
-	cap    int
-	items  []weighted
-	sorted bool // items currently sorted by value
-	merged bool // true once any compaction happened
-}
-
-type weighted struct {
-	v float64
-	w float64
-}
-
-func (q *QuantileSketch) capacity() int {
-	if q.cap <= 0 {
-		return DefaultSketchSize
-	}
-	return q.cap
-}
-
-// Add folds one value into the sketch.
-func (q *QuantileSketch) Add(x float64) {
-	q.items = append(q.items, weighted{v: x, w: 1})
-	q.sorted = false
-	if len(q.items) > q.capacity() {
-		q.compact()
-	}
-}
-
-// Count returns the total weight folded (the number of Add calls).
-func (q *QuantileSketch) Count() int {
-	w := 0.0
-	for _, it := range q.items {
-		w += it.w
-	}
-	return int(w)
-}
-
-// Compacted reports whether the sketch has discarded information; while
-// false, Quantile is exact.
-func (q *QuantileSketch) Compacted() bool { return q.merged }
-
-// compact halves residency: sort by value, then merge each adjacent pair
-// into its weighted mean with the pair's combined weight. An odd trailing
-// item is kept as-is. Order statistics move by at most one intra-pair rank
-// per compaction.
-func (q *QuantileSketch) compact() {
-	q.sortItems()
-	out := q.items[:0]
-	i := 0
-	for ; i+1 < len(q.items); i += 2 {
-		a, b := q.items[i], q.items[i+1]
-		w := a.w + b.w
-		out = append(out, weighted{v: (a.v*a.w + b.v*b.w) / w, w: w})
-	}
-	if i < len(q.items) {
-		out = append(out, q.items[i])
-	}
-	q.items = out
-	q.merged = true
-	q.sorted = true
-}
-
-func (q *QuantileSketch) sortItems() {
-	if !q.sorted {
-		sort.Slice(q.items, func(i, j int) bool { return q.items[i].v < q.items[j].v })
-		q.sorted = true
-	}
-}
-
-// Quantile returns the p-th percentile (0..100). On the exact path (no
-// compaction yet) it replicates Percentile's closest-ranks linear
-// interpolation operation-for-operation; on the compacted path each item
-// stands for w unit samples at its value and the same interpolation runs
-// over the expanded ranks.
-func (q *QuantileSketch) Quantile(p float64) float64 {
-	if len(q.items) == 0 {
-		return 0
-	}
-	q.sortItems()
-	if !q.merged {
-		// Exact path: all weights are 1; mirror Percentile bit-for-bit.
-		n := len(q.items)
-		if p <= 0 {
-			return q.items[0].v
-		}
-		if p >= 100 {
-			return q.items[n-1].v
-		}
-		rank := p / 100 * float64(n-1)
-		lo := int(math.Floor(rank))
-		hi := int(math.Ceil(rank))
-		if lo == hi {
-			return q.items[lo].v
-		}
-		frac := rank - float64(lo)
-		return q.items[lo].v*(1-frac) + q.items[hi].v*frac
-	}
-	total := 0.0
-	for _, it := range q.items {
-		total += it.w
-	}
-	if p <= 0 {
-		return q.items[0].v
-	}
-	if p >= 100 {
-		return q.items[len(q.items)-1].v
-	}
-	rank := p / 100 * (total - 1)
-	lo := math.Floor(rank)
-	frac := rank - lo
-	// valueAt(k) is the value of unit sample k in the expanded order.
-	cum := 0.0
-	var vlo, vhi float64
-	found := 0
-	for _, it := range q.items {
-		if found == 0 && lo < cum+it.w {
-			vlo = it.v
-			found = 1
-		}
-		if found >= 1 && lo+1 < cum+it.w {
-			vhi = it.v
-			found = 2
-			break
-		}
-		cum += it.w
-	}
-	if found < 2 {
-		vhi = q.items[len(q.items)-1].v
-		if found == 0 {
-			vlo = vhi
-		}
-	}
-	if frac == 0 {
-		return vlo
-	}
-	return vlo*(1-frac) + vhi*frac
 }

@@ -112,8 +112,8 @@ done
 
 # Restart on the crashed store: the journal must resume the sweep.
 start_daemon "$WORK/data-crash"
-curl -sf "$BASE/healthz" | grep -q '"replayed_sweeps": 1' \
-	|| { echo "FAIL: restart did not replay the sweep" >&2; curl -sf "$BASE/healthz" >&2; exit 1; }
+curl -sf "$BASE/metrics" | grep -q '^radiod_replayed_sweeps 1$' \
+	|| { echo "FAIL: restart did not replay the sweep" >&2; curl -sf "$BASE/metrics" >&2; exit 1; }
 curl -sf "$BASE/v1/sweeps/$ID" >/dev/null \
 	|| { echo "FAIL: resumed sweep lost its id $ID" >&2; exit 1; }
 wait_done "$ID"

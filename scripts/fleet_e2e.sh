@@ -14,8 +14,8 @@
 #
 # The re-dispatch is asserted observably: the journal records the
 # redispatch op (checked before graceful shutdown compacts it away) and
-# /metrics reports fleet_redispatched >= 1. Run from the repo root; used by
-# CI (`make fleet-e2e`) and runnable locally.
+# /metrics counts at least one redispatch of w1's leases. Run from the repo
+# root; used by CI (`make fleet-e2e`) and runnable locally.
 set -eu
 
 . "$(dirname "$0")/lib.sh"
@@ -105,7 +105,7 @@ poll "fleet sweep completion" 120 sweep_done "$ID"
 # journal: a redispatch record on disk and a nonzero counter in /metrics.
 grep -q '"op":"redispatch"' "$WORK/data-fleet/journal.ndjson" \
 	|| { echo "FAIL: journal holds no redispatch record" >&2; cat "$WORK/data-fleet/journal.ndjson" >&2; exit 1; }
-curl -sf "$BASE/metrics" | grep -Eq '^radiod_fleet_redispatched [1-9]' \
+curl -sf "$BASE/metrics" | grep -Eq '^radiod_fleet_worker_redispatched_total\{worker="w1"\} [1-9]' \
 	|| { echo "FAIL: /metrics shows no redispatch" >&2; curl -sf "$BASE/metrics" >&2; exit 1; }
 curl -sf "$BASE/metrics" | grep -Eq '^radiod_fleet_workers_dead [1-9]' \
 	|| { echo "FAIL: /metrics shows no dead worker" >&2; curl -sf "$BASE/metrics" >&2; exit 1; }
