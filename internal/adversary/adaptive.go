@@ -17,7 +17,8 @@ type CollisionSeeking struct {
 	reuse   []int
 	blist   []int
 	// cand[v] is the smallest-index gray edge from a current broadcaster
-	// to v (-1 when none), maintained by the broadcaster-driven pass.
+	// to victim v (-1 when none), maintained by the broadcaster-driven
+	// pass; candTouched lists the victims it marked, in marking order.
 	cand        []int32
 	candTouched []int32
 }
@@ -74,30 +75,34 @@ func (c *CollisionSeeking) ReachList(round int, bcast []bool, broadcasters []int
 // counts in hand the strategy needs no counting walks of its own. Both
 // branches below pick, for each uniquely-reached node, the lowest-index gray
 // edge from a broadcaster (gray adjacency lists are in edge-index order), so
-// they produce identical activations; the split only picks the cheaper walk
-// direction.
+// they produce the same activation set; the split only picks the cheaper
+// walk direction. The order of the activations differs between the
+// branches, which the Adversary contract allows and no caller can observe:
+// every victim already holds a reliable hit, so the activation only turns
+// its delivery into a collision.
 func (c *CollisionSeeking) ReachCounted(_ int, bcast []bool, broadcasters []int, relCnt []int32, hitNodes []int32) []int {
 	c.reuse = c.reuse[:0]
 	if len(broadcasters) <= 16 {
-		// Sparse round: mark the gray reach of the few broadcasters,
-		// then destroy every unique delivery that was marked.
+		// Sparse round: walk the gray arcs of the few broadcasters, keep
+		// only arcs into a victim (a silent node with exactly one reliable
+		// hit), then emit each victim's lowest-index arc.
 		for _, u := range broadcasters {
 			for _, arc := range c.grayAdj[u] {
-				switch prev := c.cand[arc.Peer]; {
+				v := arc.Peer
+				if relCnt[v] != 1 || bcast[v] {
+					continue
+				}
+				switch prev := c.cand[v]; {
 				case prev < 0:
-					c.candTouched = append(c.candTouched, arc.Peer)
-					c.cand[arc.Peer] = arc.Idx
+					c.candTouched = append(c.candTouched, v)
+					c.cand[v] = arc.Idx
 				case arc.Idx < prev:
-					c.cand[arc.Peer] = arc.Idx
+					c.cand[v] = arc.Idx
 				}
 			}
 		}
-		for _, v := range hitNodes {
-			if relCnt[v] == 1 && !bcast[v] && c.cand[v] >= 0 {
-				c.reuse = append(c.reuse, int(c.cand[v]))
-			}
-		}
 		for _, v := range c.candTouched {
+			c.reuse = append(c.reuse, int(c.cand[v]))
 			c.cand[v] = -1
 		}
 		c.candTouched = c.candTouched[:0]

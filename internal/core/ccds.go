@@ -158,10 +158,13 @@ type CCDSProcess struct {
 	queried  map[int]bool          // origins to answer (as explored node w)
 	relays   map[int]*relayRecord  // origin u -> buffered response (as v)
 
-	// Schedule cursors: the engine drives Broadcast with consecutive
-	// rounds, so the (epoch, phase, offset) triple and each phase's
-	// slot/offset pair advance incrementally instead of being re-derived
-	// with divisions every round. nextT == -1 forces an initial sync.
+	// Schedule cursors: awake stretches are driven with consecutive
+	// rounds, so the (epoch, phase, offset) triple and the phase-1 and
+	// phase-2 slot/offset pairs advance incrementally instead of being
+	// re-derived with divisions every round; each resyncs after a sleep.
+	// nextT == -1 forces an initial sync. Phase 3 derives its slot as
+	// off/bb: its processes are mostly asleep, so a cursor would resync on
+	// nearly every drive.
 	nextT    int
 	curEpoch int
 	curPhase searchPhase
@@ -171,8 +174,6 @@ type CCDSProcess struct {
 	ddPhaseC int // phase 2 decay phase
 	ddIn     int // offset within decay phase + stop slot
 	ddNext   int // expected next phase-2 offset (resync after sleeps)
-	exSlot   int // phase 3 bounded-broadcast slot
-	exIn     int // offset within that slot
 
 	// Cached messages: a stop order is constant, and a banned-list chunk
 	// is constant within its epoch.
@@ -273,12 +274,25 @@ func (p *CCDSProcess) PassiveReceive() {}
 // Broadcast implements sim.Process. The search schedule has long
 // provably-silent stretches — covered processes during the banned-list
 // phase, MIS processes during decay rounds, processes with nothing to
-// nominate — in which Broadcast returns nil without consuming randomness;
-// the reported wake round lets the engine skip those calls outright.
+// nominate, and every process outside its phase-3 role — and the reported
+// wake round lets the engine skip those calls outright. Phases 1 and 2 are
+// randomness-free while silent; phase 3 costs one coin per round, so its
+// sleeps pre-consume the skipped rounds' coins (see sendExplore).
 func (p *CCDSProcess) Broadcast(round int) (sim.Message, int) {
+	return p.drive(round, false)
+}
+
+// drive is the one search-epoch drive behind Broadcast and BroadcastLeap.
+// The two differ only in the MIS subroutine they delegate to, the leap
+// message arena, and phase 3, where the exact drive burns the coins of the
+// rounds it sleeps through and the leap drive does not.
+func (p *CCDSProcess) drive(round int, leap bool) (sim.Message, int) {
 	if round < p.sched.mis.total {
 		// The MIS subroutine's sleep-forever is its own schedule end,
 		// which is exactly where the search takes over.
+		if leap {
+			return p.mis.BroadcastLeap(round)
+		}
 		return p.mis.Broadcast(round)
 	}
 	if round >= p.sched.total {
@@ -287,6 +301,12 @@ func (p *CCDSProcess) Broadcast(round int) (sim.Message, int) {
 	}
 	if !p.searchInit {
 		p.initSearch()
+	}
+	if leap {
+		if p.arena == nil {
+			p.arena = &leapMsgs{}
+		}
+		p.arena.reset()
 	}
 	t := round - p.sched.mis.total
 	if t != p.nextT {
@@ -306,7 +326,7 @@ func (p *CCDSProcess) Broadcast(round int) (sim.Message, int) {
 	case phaseDecay:
 		m, rel = p.sendDecay(off)
 	default:
-		m, rel = p.sendExplore(off)
+		m, rel = p.sendExplore(off, !leap)
 	}
 	return m, round + rel
 }
@@ -547,37 +567,81 @@ func (p *CCDSProcess) hasActiveNoms() bool {
 
 // sendExplore implements phase 3: select, query, respond, relay — each a
 // bounded-broadcast slot (the respond and relay steps span one slot per
-// chunk).
-// sendExplore draws its slot coin every round for every process, so there
-// is never a sleep window inside phase 3.
-func (p *CCDSProcess) sendExplore(off int) (sim.Message, int) {
-	if off == 0 {
-		p.exSlot, p.exIn = 0, 0
+// chunk). A process in its role flips its 1/2 slot coin and broadcasts on
+// heads; any other process sleeps through the window exploreSilence
+// reports. The schedule charges one coin per phase-3 round, silent or not,
+// so with burn set (the exact drive) a sleep first pre-consumes the coins
+// of this round and every skipped one, leaving the stream where a per-round
+// drive would; the leap drive owes nothing for skipped rounds.
+func (p *CCDSProcess) sendExplore(off int, burn bool) (sim.Message, int) {
+	if rel := p.exploreSilence(off); rel > 0 {
+		if burn {
+			for k := 0; k < rel; k++ {
+				p.cfg.Rng.Float64()
+			}
+		}
+		return nil, rel
 	}
-	slot := p.exSlot
-	if p.exIn++; p.exIn == p.sched.bb {
-		p.exIn, p.exSlot = 0, slot+1
-	}
-	coin := p.cfg.Rng.Float64() < 0.5
-	switch {
-	case slot == 0: // select
-		if p.inMIS && p.nomFrom != 0 && coin {
-			return newSelect(p.cfg.N, p.cfg.ID, p.nomFrom, p.nomCand), 1
-		}
-	case slot == 1: // query
-		if !p.inMIS && len(p.selected) > 0 && coin {
-			return p.buildQuery(), 1
-		}
-	case slot < 2+p.sched.chunks: // respond
-		if !p.inMIS && len(p.queried) > 0 && coin {
-			return p.buildRespond(slot - 2), 1
-		}
-	default: // relay
-		if !p.inMIS && len(p.relays) > 0 && coin {
-			return p.buildRelay(slot - 2 - p.sched.chunks), 1
-		}
+	if p.cfg.Rng.Float64() < 0.5 {
+		return p.exploreMsg(off / p.sched.bb), 1
 	}
 	return nil, 1
+}
+
+// exploreSilence returns 0 when the process plays a role in phase-3 round
+// off, and otherwise the number of rounds (>= 1, never past phase 3) for
+// which it is guaranteed silent, starting at this one. Each slot's input is
+// final once the previous slot ends — selects arrive only in the select
+// slot, queries only in the query slot, responses only in the respond
+// slots — so a process without a role sleeps to the next boundary at which
+// its role could have changed and re-evaluates there. MIS processes speak
+// only in the select slot, and only with a nomination to select.
+func (p *CCDSProcess) exploreSilence(off int) int {
+	bb := p.sched.bb
+	slot := off / bb
+	if p.inMIS {
+		if slot == 0 && p.nomFrom != 0 {
+			return 0
+		}
+		return p.sched.p3Len - off
+	}
+	switch {
+	case slot == 0: // select: a select may still arrive, wake at the query slot
+		return bb - off
+	case slot == 1: // query: a query may still arrive, wake at the respond slots
+		if len(p.selected) > 0 {
+			return 0
+		}
+		return 2*bb - off
+	case slot < 2+p.sched.chunks: // respond: a response may still arrive, wake at the relay slots
+		if len(p.queried) > 0 {
+			return 0
+		}
+		return (2+p.sched.chunks)*bb - off
+	default: // relay: the relay buffer is final, silent through the rest of phase 3
+		if len(p.relays) > 0 {
+			return 0
+		}
+		return p.sched.p3Len - off
+	}
+}
+
+// exploreMsg builds the phase-3 message of a process whose role in the
+// given slot exploreSilence confirmed (nil when its batch is empty).
+func (p *CCDSProcess) exploreMsg(slot int) sim.Message {
+	switch {
+	case slot == 0:
+		if p.arena != nil {
+			return p.arena.newSelect(p.cfg.N, p.cfg.ID, p.nomFrom, p.nomCand)
+		}
+		return newSelect(p.cfg.N, p.cfg.ID, p.nomFrom, p.nomCand)
+	case slot == 1:
+		return p.buildQuery()
+	case slot < 2+p.sched.chunks:
+		return p.buildRespond(slot - 2)
+	default:
+		return p.buildRelay(slot - 2 - p.sched.chunks)
+	}
 }
 
 // buildQuery batches the exploration requests this nominator received,

@@ -70,25 +70,33 @@ func (p *ContinuousCCDSProcess) PassiveReceive() {}
 // own; executions are bounded by the runner's round cap.
 func (p *ContinuousCCDSProcess) Done() bool { return false }
 
-// Broadcast implements sim.Process with a per-round drive: it reports
-// round+1 and drops the inner run's wake round, so every period boundary —
-// where the previous result commits and the detector is re-read — is
-// driven.
+// Broadcast implements sim.Process. It reports the inner run's wake round,
+// clamped to the period end, so every period boundary — where the previous
+// result commits and the detector is re-read — is driven.
 func (p *ContinuousCCDSProcess) Broadcast(round int) (sim.Message, int) {
+	return p.drive(round, false)
+}
+
+// drive is the one period drive behind Broadcast and BroadcastLeap; leap
+// selects the inner CCDS process's matching drive. Inner wakes never pass
+// the inner schedule end, which is the period end; the clamp keeps that
+// invariant explicit.
+func (p *ContinuousCCDSProcess) drive(round int, leap bool) (sim.Message, int) {
 	local := round % p.period
 	if local == 0 {
 		p.beginPeriod(round)
 	}
+	periodEnd := round - local + p.period
 	if p.inner == nil {
-		return nil, round + 1
+		return nil, periodEnd
 	}
-	m, _ := p.inner.Broadcast(local)
-	return m, round + 1
+	m, wake := p.inner.drive(local, leap)
+	return m, min(round-local+wake, periodEnd)
 }
 
 // beginPeriod commits the previous period's result and starts a fresh inner
 // CCDS run against the detector's current output. Called at every period
-// boundary by both the exact and leap broadcast paths.
+// boundary by drive.
 func (p *ContinuousCCDSProcess) beginPeriod(round int) {
 	p.commit()
 	inner, err := NewCCDSProcess(CCDSConfig{

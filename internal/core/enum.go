@@ -63,10 +63,15 @@ type enumConnect struct {
 	paths map[int]pathChoice // dominator x -> selected path
 	sel   []pathChoice       // frozen selection for phase C
 
-	// Leap engine state (unused by the exact engine): the message arena and
-	// the cached phase-0 detector chunks (see leap.go).
-	arena        *leapMsgs
-	chunks0Cache [][]int
+	// Payloads built once per process, at the first broadcast that needs
+	// them, from state that is final by then (nil = not built yet).
+	chunks0   [][]int      // phase-0 detector chunks (the detector set is immutable)
+	summary   []domWitness // phase-B summary (heard is final once phase A ends)
+	fwdChunks [][]int      // phase-D relay chunks (forward is final at the phase-D edge)
+
+	// arena is the leap engine's message arena (nil under the exact engine;
+	// see leap.go).
+	arena *leapMsgs
 }
 
 // enumStagger is the number of id-residue groups used to stagger the phases
@@ -200,7 +205,7 @@ func (e *enumConnect) broadcastRound(t int) sim.Message {
 		// Receivers learn the sender's dominator status from the message
 		// itself.
 		slot := (t % groupLen) / e.sched.bb
-		chunks := chunkify(e.det.IDs(), e.sched.capIDs)
+		chunks := e.detChunks()
 		if slot >= len(chunks) {
 			return nil
 		}
@@ -249,12 +254,7 @@ func (e *enumConnect) broadcastRound(t int) sim.Message {
 		if (t-bD)/groupLen != e.id%enumStagger {
 			return nil
 		}
-		sub := ((t - bD) % groupLen) / e.sched.bb
-		chunks := chunkify(append([]int(nil), e.forward...), e.sched.capIDs)
-		if sub >= len(chunks) {
-			return nil
-		}
-		return newRelaySel(e.n, e.id, chunks[sub], e.label())
+		return e.buildRelaySel(((t - bD) % groupLen) / e.sched.bb)
 	}
 }
 
@@ -442,41 +442,67 @@ func (e *enumConnect) cappedMasters() []int {
 	return m
 }
 
+// detChunks returns the chunked detector list phase 0 transmits, built on
+// first use: the detector set is immutable.
+func (e *enumConnect) detChunks() [][]int {
+	if e.chunks0 == nil {
+		e.chunks0 = chunkify(e.det.IDs(), e.sched.capIDs)
+		if e.chunks0 == nil {
+			e.chunks0 = [][]int{}
+		}
+	}
+	return e.chunks0
+}
+
 // buildSummary emits chunk sub of the phase-B summary: every known
 // dominator with its witness. When the MaxMasters cap truncates, direct
-// masters (witness 0, yielding the shortest paths) are kept first.
+// masters (witness 0, yielding the shortest paths) are kept first. heard
+// is final once phase A ends, so the sorted summary is built on the first
+// phase-B broadcast and every chunk is a window into it.
 func (e *enumConnect) buildSummary(sub int) sim.Message {
-	doms := make([]int, 0, len(e.heard))
-	for x := range e.heard {
-		doms = append(doms, x)
-	}
-	sort.Slice(doms, func(i, j int) bool {
-		wi, wj := e.heard[doms[i]], e.heard[doms[j]]
-		if (wi == 0) != (wj == 0) {
-			return wi == 0
+	if e.summary == nil {
+		doms := make([]int, 0, len(e.heard))
+		for x := range e.heard {
+			doms = append(doms, x)
 		}
-		return doms[i] < doms[j]
-	})
-	if len(doms) > e.params.MaxMasters {
-		doms = doms[:e.params.MaxMasters]
+		sort.Slice(doms, func(i, j int) bool {
+			wi, wj := e.heard[doms[i]], e.heard[doms[j]]
+			if (wi == 0) != (wj == 0) {
+				return wi == 0
+			}
+			return doms[i] < doms[j]
+		})
+		if len(doms) > e.params.MaxMasters {
+			doms = doms[:e.params.MaxMasters]
+		}
+		e.summary = make([]domWitness, 0, len(doms))
+		for _, x := range doms {
+			e.summary = append(e.summary, domWitness{Dom: x, Witness: e.heard[x]})
+		}
 	}
 	perMsg := e.sched.capIDs / 2
 	if perMsg < 1 {
 		perMsg = 1
 	}
 	lo := sub * perMsg
-	if lo >= len(doms) {
+	if lo >= len(e.summary) {
 		return nil
 	}
-	hi := lo + perMsg
-	if hi > len(doms) {
-		hi = len(doms)
+	hi := min(lo+perMsg, len(e.summary))
+	return newAnnB(e.n, e.id, e.summary[lo:hi], e.label())
+}
+
+// buildRelaySel emits chunk sub of this relay's phase-D forward list. The
+// list is final at the phase-D edge, so it is chunked on the first phase-D
+// broadcast.
+func (e *enumConnect) buildRelaySel(sub int) sim.Message {
+	if e.fwdChunks == nil {
+		e.fwdChunks = chunkify(append([]int(nil), e.forward...), e.sched.capIDs)
 	}
-	entries := make([]domWitness, 0, hi-lo)
-	for _, x := range doms[lo:hi] {
-		entries = append(entries, domWitness{Dom: x, Witness: e.heard[x]})
+	if sub >= len(e.fwdChunks) {
+		return nil
 	}
-	return newAnnB(e.n, e.id, entries, e.label())
+	return newRelaySel(e.n, e.id, e.fwdChunks[sub], e.label())
 }
 
 // freezeSelection fixes the dominator's connecting paths for phase C,

@@ -10,10 +10,12 @@ import (
 // This file implements the leap engine's side of every protocol: the
 // sim.LeapBroadcaster methods (BroadcastLeap) that sample each coin-flipping
 // stretch's first broadcast round directly from the geometric distribution
-// instead of flipping a Bernoulli coin per round. The exact engine's
-// Broadcast methods are untouched — leap is statistically equivalent
-// (identical in distribution) but intentionally not bit-identical, because
-// the PCG streams are consumed in a different order.
+// instead of flipping a Bernoulli coin per round. Where the exact drive
+// already sleeps through a window, the leap drive shares it and only skips
+// the coin burn (the Section 5 and continuous CCDS drives are one function
+// each). Leap is statistically equivalent (identical in distribution) but
+// intentionally not bit-identical, because the PCG streams are consumed in
+// a different order.
 //
 // The correctness argument, used throughout:
 //
@@ -307,121 +309,14 @@ func (p *AsyncMISProcess) BroadcastLeap(round int) (sim.Message, int) {
 
 var _ sim.LeapBroadcaster = (*CCDSProcess)(nil)
 
-// BroadcastLeap implements sim.LeapBroadcaster. The MIS subroutine delegates
-// to the inner process's leap path; the search epochs reuse the exact
-// engine's phase-1 and phase-2 senders verbatim (their silent stretches are
-// already randomness-free, so they are distribution-preserving as-is, and
-// their slot cursors remain sound: leap drives phase 1 consecutively from
-// its first offset and sendDecay resyncs on non-consecutive offsets) and
-// replace the exploration phase — whose exact form flips a coin every round
-// for every process — with a slot-aware variant that sleeps ineligible
-// processes to the next boundary at which their role could change.
+// BroadcastLeap implements sim.LeapBroadcaster through the exact path's
+// drive (see CCDSProcess.drive): the MIS subroutine delegates to the inner
+// process's leap path, phases 1 and 2 are randomness-free while silent and
+// therefore distribution-preserving as-is, and phase 3 sleeps through the
+// same windows as the exact drive (exploreSilence) without burning the
+// skipped rounds' coins.
 func (p *CCDSProcess) BroadcastLeap(round int) (sim.Message, int) {
-	if round < p.sched.mis.total {
-		return p.mis.BroadcastLeap(round)
-	}
-	if round >= p.sched.total {
-		p.finish()
-		return nil, round + 1
-	}
-	if !p.searchInit {
-		p.initSearch()
-	}
-	if p.arena == nil {
-		p.arena = &leapMsgs{}
-	}
-	p.arena.reset()
-	t := round - p.sched.mis.total
-	// Leap drives are sparse, so the position is re-derived by division
-	// instead of through the exact path's incremental (epoch, phase, off)
-	// cursor.
-	epoch, phase, off := p.sched.locate(t)
-	if off == 0 && phase == phaseBanned {
-		p.startEpoch(epoch)
-	}
-	var m sim.Message
-	var rel int
-	switch phase {
-	case phaseBanned:
-		m, rel = p.sendBanned(off)
-	case phaseDecay:
-		m, rel = p.sendDecay(off)
-	default:
-		m, rel = p.sendExploreLeap(off)
-	}
-	return m, round + rel
-}
-
-// sendExploreLeap is the leap engine's phase 3. Eligibility for each slot's
-// role is fixed by the time the slot begins — selects arrive only during the
-// select slot, queries during the query slot, responses during the respond
-// slots — so an ineligible process sleeps to the next boundary at which its
-// role could have changed and re-evaluates there; eligible processes flip
-// their 1/2 coin per round exactly as the exact engine does. Slots are
-// re-derived arithmetically because leap drives are not consecutive (the
-// exact path's exSlot cursor has no resync and must not be reused here).
-func (p *CCDSProcess) sendExploreLeap(off int) (sim.Message, int) {
-	bb := p.sched.bb
-	slot := off / bb
-	slotEnd := (slot + 1) * bb
-	switch {
-	case slot == 0: // select
-		if p.inMIS {
-			if p.nomFrom == 0 {
-				// No nomination this epoch: nothing to select, and MIS
-				// processes play no later phase-3 role — silent throughout.
-				return nil, p.sched.p3Len - off
-			}
-			if p.cfg.Rng.Float64() < 0.5 {
-				return p.arena.newSelect(p.cfg.N, p.cfg.ID, p.nomFrom, p.nomCand), 1
-			}
-			return nil, 1
-		}
-		return nil, slotEnd - off // a select may still arrive: wake at the query slot
-	case slot == 1: // query
-		if p.inMIS {
-			return nil, p.sched.p3Len - off
-		}
-		if len(p.selected) > 0 {
-			if p.cfg.Rng.Float64() < 0.5 {
-				if m := p.buildQuery(); m != nil {
-					return m, 1
-				}
-			}
-			return nil, 1
-		}
-		return nil, slotEnd - off // a query may still arrive: wake at the respond slots
-	case slot < 2+p.sched.chunks: // respond
-		if p.inMIS {
-			return nil, p.sched.p3Len - off
-		}
-		if len(p.queried) > 0 {
-			if p.cfg.Rng.Float64() < 0.5 {
-				if m := p.buildRespond(slot - 2); m != nil {
-					return m, 1
-				}
-			}
-			return nil, 1
-		}
-		// The queried set is final once the query slot ends: skip to the
-		// relay slots (a response may still arrive there).
-		return nil, (2+p.sched.chunks)*bb - off
-	default: // relay
-		if p.inMIS {
-			return nil, p.sched.p3Len - off
-		}
-		if len(p.relays) == 0 {
-			// The relay buffer is final once the respond slots end:
-			// silent through the rest of phase 3.
-			return nil, p.sched.p3Len - off
-		}
-		if p.cfg.Rng.Float64() < 0.5 {
-			if m := p.buildRelay(slot - 2 - p.sched.chunks); m != nil {
-				return m, 1
-			}
-		}
-		return nil, 1
-	}
+	return p.drive(round, true)
 }
 
 // --- Section 6 enumeration connect ----------------------------------------
@@ -532,28 +427,8 @@ func (e *enumConnect) leapMessage(t int) sim.Message {
 		if e.rng.Float64() >= 0.5 {
 			return nil
 		}
-		sub := ((t - bD) % groupLen) / s.bb
-		chunks := chunkify(append([]int(nil), e.forward...), s.capIDs)
-		if sub >= len(chunks) {
-			return nil
-		}
-		return newRelaySel(e.n, e.id, chunks[sub], e.label())
+		return e.buildRelaySel(((t - bD) % groupLen) / s.bb)
 	}
-}
-
-// detChunks caches the chunked detector list for phase 0: the detector set
-// is immutable, so the chunking is computed once per process instead of once
-// per heads round. Leap-only; the exact path recomputes it per heads round
-// to keep its behavior untouched.
-func (e *enumConnect) detChunks() [][]int {
-	if e.chunks0Cache == nil {
-		chunks := chunkify(e.det.IDs(), e.sched.capIDs)
-		if chunks == nil {
-			chunks = [][]int{}
-		}
-		e.chunks0Cache = chunks
-	}
-	return e.chunks0Cache
 }
 
 // --- Baseline, τ, and continuous CCDS --------------------------------------
@@ -602,20 +477,9 @@ func (p *TauCCDSProcess) BroadcastLeap(round int) (sim.Message, int) {
 
 var _ sim.LeapBroadcaster = (*ContinuousCCDSProcess)(nil)
 
-// BroadcastLeap implements sim.LeapBroadcaster. Period boundaries are always
-// driven — inner CCDS leap wakes never exceed the period end — so the
-// commit-and-rerun bookkeeping runs identically to the exact path.
+// BroadcastLeap implements sim.LeapBroadcaster through the exact path's
+// period drive (see ContinuousCCDSProcess.drive), delegating to the inner
+// CCDS leap path.
 func (p *ContinuousCCDSProcess) BroadcastLeap(round int) (sim.Message, int) {
-	local := round % p.period
-	if local == 0 {
-		p.beginPeriod(round)
-	}
-	if p.inner == nil {
-		return nil, round - local + p.period
-	}
-	m, wake := p.inner.BroadcastLeap(local)
-	if wake > p.period {
-		wake = p.period
-	}
-	return m, round - local + wake
+	return p.drive(round, true)
 }

@@ -47,24 +47,79 @@ func (p *TauCCDSProcess) broadcastPerRound(round int) sim.Message {
 	return p.enum.broadcastRound(round - misPhase)
 }
 
-// perRoundDriver is a fixed-length process with a per-round reference drive.
+// broadcastPerRound is the banned-list CCDS's per-round reference drive:
+// wake rounds are dropped, so phases 1 and 2 run every round (their silent
+// rounds touch no randomness), and phase 3 flips its slot coin every round
+// and never sleeps, the schedule's behavior before its phase-3 sleeps.
+func (p *CCDSProcess) broadcastPerRound(round int) sim.Message {
+	if round >= p.sched.mis.total && round < p.sched.total {
+		if _, phase, off := p.sched.locate(round - p.sched.mis.total); phase == phaseExplore {
+			coin := p.cfg.Rng.Float64() < 0.5
+			slot := off / p.sched.bb
+			switch {
+			case slot == 0:
+				if p.inMIS && p.nomFrom != 0 && coin {
+					return newSelect(p.cfg.N, p.cfg.ID, p.nomFrom, p.nomCand)
+				}
+			case slot == 1:
+				if !p.inMIS && len(p.selected) > 0 && coin {
+					return p.buildQuery()
+				}
+			case slot < 2+p.sched.chunks:
+				if !p.inMIS && len(p.queried) > 0 && coin {
+					return p.buildRespond(slot - 2)
+				}
+			default:
+				if !p.inMIS && len(p.relays) > 0 && coin {
+					return p.buildRelay(slot - 2 - p.sched.chunks)
+				}
+			}
+			return nil
+		}
+	}
+	m, _ := p.Broadcast(round)
+	return m
+}
+
+// broadcastPerRound is the continuous process's per-round reference drive:
+// it drops the inner run's wake and drives the inner per-round reference
+// every round.
+func (p *ContinuousCCDSProcess) broadcastPerRound(round int) sim.Message {
+	local := round % p.period
+	if local == 0 {
+		p.beginPeriod(round)
+	}
+	if p.inner == nil {
+		return nil
+	}
+	return p.inner.broadcastPerRound(local)
+}
+
+// perRoundDriver is a process with a per-round reference drive.
 type perRoundDriver interface {
 	sim.Process
-	Rounds() int
 	broadcastPerRound(round int) sim.Message
 }
 
 // perRound drives a process through its per-round reference: Broadcast
 // always reports round+1, so the engine never parks it, while the
-// fixed-length and passive-receiver contracts are preserved.
+// passive-receiver contract is preserved.
 type perRound struct{ inner perRoundDriver }
 
 func (p perRound) Broadcast(r int) (sim.Message, int) { return p.inner.broadcastPerRound(r), r + 1 }
 func (p perRound) Receive(r int, m sim.Message)       { p.inner.Receive(r, m) }
 func (p perRound) Output() int                        { return p.inner.Output() }
 func (p perRound) Done() bool                         { return p.inner.Done() }
-func (p perRound) Rounds() int                        { return p.inner.Rounds() }
 func (p perRound) PassiveReceive()                    {}
+
+// perRoundFixed is perRound for a fixed-length process: forwarding Rounds
+// lets the engine retire it exactly where it retires the sleeping drive.
+type perRoundFixed struct {
+	perRound
+	rounds int
+}
+
+func (p perRoundFixed) Rounds() int { return p.rounds }
 
 // bcastLog records each round's broadcaster set.
 type bcastLog struct{ rounds [][]int }
@@ -73,8 +128,9 @@ func (l *bcastLog) OnRound(round int, broadcasters []int, _ []sim.Delivery) {
 	l.rounds = append(l.rounds, append([]int(nil), broadcasters...))
 }
 
-// runFleet drives a fleet to completion and returns outputs + the log.
-func runFleet(t *testing.T, net *dualgraph.Network, procs []sim.Process, b int) ([]int, *bcastLog) {
+// runFleet drives a fleet to completion (or for maxRounds rounds, when
+// positive) and returns outputs + the log.
+func runFleet(t *testing.T, net *dualgraph.Network, procs []sim.Process, b, maxRounds int) ([]int, *bcastLog) {
 	t.Helper()
 	log := &bcastLog{}
 	r, err := sim.NewRunner(sim.Config{
@@ -82,6 +138,7 @@ func runFleet(t *testing.T, net *dualgraph.Network, procs []sim.Process, b int) 
 		Adversary:   adversary.NewCollisionSeeking(net),
 		Processes:   procs,
 		MessageBits: b,
+		MaxRounds:   maxRounds,
 		Observer:    log,
 	})
 	if err != nil {
@@ -97,26 +154,45 @@ func runFleet(t *testing.T, net *dualgraph.Network, procs []sim.Process, b int) 
 	return outs, log
 }
 
-// TestSleepEquivalenceTauAndBaseline locks the sleeping Broadcast of the
-// enumeration-based processes to their per-round reference drives:
-// identical seeds must yield identical broadcaster sets every round and
-// identical outputs, whether or not the engine skips sleeping processes.
-// The instance is built like the harness's (one seeded stream for network,
-// assignment, and detector, in that order).
+// TestSleepEquivalenceTauAndBaseline locks the sleeping Broadcast of every
+// process that sleeps through coin-flipping rounds — the enumeration-based
+// processes, the banned-list CCDS (phase 3), and the continuous CCDS that
+// reruns it — to its per-round reference drive: identical seeds must yield
+// identical broadcaster sets every round and identical outputs, whether or
+// not the engine skips sleeping processes. refExecution in internal/sim
+// honors declared wakes, so it cannot see a sleep that burns the wrong
+// number of coins or wakes at the wrong round; this comparison can. The
+// instance is built like the harness's (one seeded stream for network,
+// assignment, and detector, in that order). The continuous case runs two
+// periods plus the commit round under a detector that has τ=2 mistakes
+// until the first period boundary and is 0-complete from there on.
 func TestSleepEquivalenceTauAndBaseline(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		tau  int
-		make func(cfg CCDSConfig) (perRoundDriver, error)
+		name    string
+		tau     int
+		b       int
+		periods int // > 0: continuous CCDS, run for this many periods
+		make    func(cfg CCDSConfig, at func(round int) *detector.Set) (perRoundDriver, error)
 	}{
-		{"baseline", 0, func(cfg CCDSConfig) (perRoundDriver, error) {
+		{"baseline", 0, 1 << 16, 0, func(cfg CCDSConfig, _ func(int) *detector.Set) (perRoundDriver, error) {
 			return NewBaselineCCDSProcess(cfg)
 		}},
-		{"tau1", 1, func(cfg CCDSConfig) (perRoundDriver, error) {
+		{"tau1", 1, 1 << 16, 0, func(cfg CCDSConfig, _ func(int) *detector.Set) (perRoundDriver, error) {
 			return NewTauCCDSProcess(cfg, 1)
 		}},
-		{"tau2", 2, func(cfg CCDSConfig) (perRoundDriver, error) {
+		{"tau2", 2, 1 << 16, 0, func(cfg CCDSConfig, _ func(int) *detector.Set) (perRoundDriver, error) {
 			return NewTauCCDSProcess(cfg, 2)
+		}},
+		// b=192 needs two chunks per response, so phase 3 has two respond
+		// and two relay slots.
+		{"ccds", 0, 192, 0, func(cfg CCDSConfig, _ func(int) *detector.Set) (perRoundDriver, error) {
+			return NewCCDSProcess(cfg)
+		}},
+		{"continuous", 0, 512, 2, func(cfg CCDSConfig, at func(int) *detector.Set) (perRoundDriver, error) {
+			return NewContinuousCCDSProcess(ContinuousConfig{
+				ID: cfg.ID, N: cfg.N, Delta: cfg.Delta, B: cfg.B,
+				DetectorAt: at, Params: cfg.Params, Rng: cfg.Rng,
+			})
 		}},
 	} {
 		for seed := uint64(1); seed <= 3; seed++ {
@@ -132,33 +208,50 @@ func TestSleepEquivalenceTauAndBaseline(t *testing.T) {
 				if tc.tau > 0 {
 					det = detector.TauComplete(net, asg, tc.tau, detector.PlaceGrayFirst, rng)
 				}
-				const b = 1 << 16
+				dyn := detector.Dynamic(detector.NewStatic(det))
+				maxRounds := 0
+				if tc.periods > 0 {
+					period, err := CCDSRounds(n, net.Delta(), tc.b, DefaultParams())
+					if err != nil {
+						t.Fatal(err)
+					}
+					noisy := detector.TauComplete(net, asg, 2, detector.PlaceGrayFirst, rng)
+					dyn = detector.NewSchedule(
+						detector.ScheduleStep{Round: 0, Detector: noisy},
+						detector.ScheduleStep{Round: period, Detector: det},
+					)
+					maxRounds = tc.periods*period + 1
+				}
 				build := func(perRoundDrive bool) []sim.Process {
 					procs := make([]sim.Process, n)
 					for v := 0; v < n; v++ {
 						id := asg.ID(v)
+						node := v
 						p, err := tc.make(CCDSConfig{
 							ID:       id,
 							N:        n,
 							Delta:    net.Delta(),
-							B:        b,
+							B:        tc.b,
 							Detector: det.Set(v),
 							Params:   DefaultParams(),
 							Rng:      rand.New(rand.NewPCG(seed, uint64(id)*0x9e3779b97f4a7c15+0x1234567)),
-						})
+						}, func(round int) *detector.Set { return dyn.At(round).Set(node) })
 						if err != nil {
 							t.Fatal(err)
 						}
-						if perRoundDrive {
-							procs[v] = perRound{inner: p}
-						} else {
+						switch fixed, ok := p.(interface{ Rounds() int }); {
+						case !perRoundDrive:
 							procs[v] = p
+						case ok:
+							procs[v] = perRoundFixed{perRound{p}, fixed.Rounds()}
+						default:
+							procs[v] = perRound{p}
 						}
 					}
 					return procs
 				}
-				sleepOuts, sleepLog := runFleet(t, net, build(false), b)
-				plainOuts, plainLog := runFleet(t, net, build(true), b)
+				sleepOuts, sleepLog := runFleet(t, net, build(false), tc.b, maxRounds)
+				plainOuts, plainLog := runFleet(t, net, build(true), tc.b, maxRounds)
 				if len(sleepLog.rounds) != len(plainLog.rounds) {
 					t.Fatalf("round counts differ: sleep %d vs per-round %d",
 						len(sleepLog.rounds), len(plainLog.rounds))

@@ -3,6 +3,7 @@ package expr
 import (
 	"math/rand/v2"
 
+	"dualradio/internal/core"
 	"dualradio/internal/detector"
 	"dualradio/internal/harness"
 	"dualradio/internal/verify"
@@ -35,13 +36,17 @@ func E7DynamicCCDS(cfg Config) (*Result, error) {
 		drng := rand.New(rand.NewPCG(uint64(seed+1), 0xD15C0))
 		noisy := detector.TauComplete(s.Net, s.Asg, 2, detector.PlaceGrayFirst, drng)
 		clean := s.Det
-		// δ_CDS is the fixed CCDS schedule length; compute it via a probe
-		// run configuration (period depends only on n, Δ, b, params).
-		probe, err := s.RunCCDS()
+		// δ_CDS is taken as the round count a one-shot CCDS run reports:
+		// the fixed schedule plus its terminal round, one more than
+		// ContinuousCCDSProcess.Period. The stabilization round and the
+		// checkpoint derive from it, and the experiments digest pins all
+		// three, so the value stays. The schedule depends only on
+		// (n, Δ, b, params), so it is computed rather than run.
+		rounds, err := core.CCDSRounds(n, s.Net.Delta(), s.B, s.Params)
 		if err != nil {
 			return trial{}, err
 		}
-		t := trial{period: probe.Rounds}
+		t := trial{period: rounds + 1}
 		t.stab = t.period + t.period/2 // stabilizes mid-second-period
 		dyn := detector.NewSchedule(
 			detector.ScheduleStep{Round: 0, Detector: noisy},

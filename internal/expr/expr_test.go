@@ -1,6 +1,7 @@
 package expr_test
 
 import (
+	"strings"
 	"testing"
 
 	"dualradio/internal/expr"
@@ -49,6 +50,29 @@ func TestE3CCDSRounds(t *testing.T) {
 	}
 }
 
+// TestE4TauCCDS checks Theorem 6.2's claim: with a τ-complete detector the
+// Section 6 CCDS is valid in every run and its round count grows at most
+// linearly in Δ (the fitted exponent stays at or below 1.2).
+func TestE4TauCCDS(t *testing.T) {
+	res := quick(t, expr.E4TauCCDS)
+	checked := 0
+	for k, v := range res.Metrics {
+		if !strings.HasPrefix(k, "valid_tau") {
+			continue
+		}
+		checked++
+		if v < 1 {
+			t.Errorf("%s: only %.0f%% of runs valid", k, v*100)
+		}
+	}
+	if checked == 0 {
+		t.Error("E4 reported no valid_tau* metrics")
+	}
+	if exp := res.Metrics["exponent_vs_delta"]; exp > 1.2 {
+		t.Errorf("τ-CCDS rounds grow as Δ^%.2f, want ≲ 1 (O(Δ·polylog n))", exp)
+	}
+}
+
 func TestE5LowerBound(t *testing.T) {
 	res := quick(t, expr.E5LowerBound)
 	if exp := res.Metrics["crossing_exponent_vs_beta"]; exp < 0.5 {
@@ -76,6 +100,21 @@ func TestE7DynamicCCDS(t *testing.T) {
 	res := quick(t, expr.E7DynamicCCDS)
 	if v := res.Metrics["valid_fraction"]; v < 1 {
 		t.Errorf("continuous CCDS valid at r+2δ in only %.0f%% of runs", v*100)
+	}
+}
+
+// TestE8AsyncMIS checks Theorem 9.4's claim: asynchronous-start MIS is
+// valid in every run and its p90 decision latency grows no faster in log n
+// than E1's synchronous bound allows.
+func TestE8AsyncMIS(t *testing.T) {
+	res := quick(t, expr.E8AsyncMIS)
+	for _, n := range []int{64, 128} {
+		if v := res.Metrics["valid_"+itoa(n)]; v < 1 {
+			t.Errorf("n=%d: only %.0f%% of runs valid", n, v*100)
+		}
+	}
+	if exp := res.Metrics["exponent_vs_logn"]; exp > 3.8 {
+		t.Errorf("async MIS latency grows as log^%.2f n, want ≲ 3", exp)
 	}
 }
 

@@ -2,7 +2,11 @@ package scenario
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"dualradio/internal/adversary"
@@ -121,5 +125,65 @@ func TestPresetAggregateMatchesExprMetrics(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatal("parallel run diverges from sequential run")
+	}
+}
+
+// presetResultGolden pins the sha256 of every preset's Result JSON under
+// the exact engine. The exact engine's executions are bit-identical by
+// contract, so any drift here — an extra or missing coin draw, a reordered
+// delivery, a changed reduction — is a behavior change, not noise.
+var presetResultGolden = map[string]string{
+	"mis-quick":          "bd666001431ce1ae721f55e6bc666a081b40f83af9f3b9daead93c5ead12768d",
+	"mis-midsize":        "c6160bc56cf82ab45209ec06185cfc0cf221524a63f24f2f53da01375d3ceb0c",
+	"mis-classic":        "d4e5789a084d876f279e18002d2337c2f99f90018bd3a7d5c0eb8e8a7901bba2",
+	"mis-full-adversary": "20251a196786853004ba6d554005f394284a84bc27df1ac13bd2b5e1790b2023",
+	"ccds-quick":         "67124ff2fd3602226f1c41162a7e4bb4309e7891ff8d4e1e554bff6ec7485c20",
+	"ccds-wideband":      "e4d302ac8a7750e38e2534589d12b8288ec43553bb101d6d6a29b50109f571e7",
+	"baseline-ccds":      "a4d39d008b4625eefb7ead8a1151be94380378dc463fdc9ce3ca0d6d6bd26c1b",
+	"tau-ccds":           "b78ef388b73185865cba637390005ecae125f02105dff5e5789e6aae5dcbae44",
+	"async-mis":          "354d5ca310445a206458ba5ebcaa2191a3c5a98fdebedb43f1ae8414af261ddd",
+	"lossy-uniform":      "476c4b5a364b737ddd899d933c27b094a045048b6ac37eb86a994e5f4c11b7aa",
+	"bursty-links":       "cd808f9e688021c1b0f4df1d0b452ecc7c3504e3cd528e10467b200769a3bfef",
+	"dynamic-ccds":       "b28f5aacc39bebf166bc9d7ce56916d04c386261956914c23cbe6db2ecc56e75",
+}
+
+// TestPresetResultsGolden runs every preset under engine "exact" at 1 and 3
+// trial workers: the two Results must be byte-identical, and on amd64 the
+// sha256 of their JSON must equal the pinned value. It is the service
+// path's byte contract: a change to a protocol, the engine or the adversary
+// that alters an execution fails here even when every structural check
+// still passes. Other architectures may fuse multiply-adds, which can move
+// a generated edge or a reduced float, so the hashes are pinned where they
+// were recorded (as the experiments digest is).
+func TestPresetResultsGolden(t *testing.T) {
+	presets := Presets()
+	if len(presets) != len(presetResultGolden) {
+		t.Fatalf("%d presets but %d pinned hashes", len(presets), len(presetResultGolden))
+	}
+	for _, p := range presets {
+		spec := p.Spec
+		spec.Engine = EngineExact
+		comp, err := Compile(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		var hashes []string
+		for _, workers := range []int{1, 3} {
+			res, err := comp.RunWithOptions(context.Background(), RunOptions{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", p.Name, workers, err)
+			}
+			raw, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hashes = append(hashes, fmt.Sprintf("%x", sha256.Sum256(raw)))
+		}
+		if hashes[0] != hashes[1] {
+			t.Errorf("%s: Result sha256 %s at 1 worker but %s at 3", p.Name, hashes[0], hashes[1])
+		}
+		if want := presetResultGolden[p.Name]; runtime.GOARCH == "amd64" && hashes[0] != want {
+			t.Errorf("%s: Result sha256 %s, want %s", p.Name, hashes[0], want)
+		}
 	}
 }

@@ -72,16 +72,21 @@ type Message interface {
 //
 // The coin pre-consumption rule. Bit-identity constrains how randomness may
 // be handled while silent, and the exact engine's correctness hangs on it.
-// Protocols satisfy it in exactly one of two ways:
+// Every sleep window satisfies it in one of two ways:
 //
 //   - No randomness while silent: the skipped rounds would not have touched
 //     the process's RNG at all, so the stream position is trivially
-//     preserved (the MIS and banned-list CCDS schedules).
+//     preserved (the MIS schedule, and the banned-list CCDS's MIS part and
+//     search phases 1–2).
 //   - Pre-consuming the skipped draws: when every round — silent or not —
 //     costs a fixed number of draws, Broadcast burns the skipped rounds'
 //     draws before declaring the sleep, leaving the stream exactly where a
-//     per-round drive would have left it (the enumeration-connect schedule,
-//     whose every round costs one coin).
+//     per-round drive would have left it (the enumeration-connect schedule
+//     and the banned-list CCDS's search phase 3, whose every round costs
+//     one coin).
+//
+// A protocol may use both rules, one per stretch of its schedule, as the
+// banned-list CCDS does.
 //
 // Both rules bind the exact engine only. The leap engine (Config.Leap)
 // drives LeapBroadcaster processes through BroadcastLeap instead, whose
