@@ -14,34 +14,22 @@ import (
 
 // Adversary selects, each round, which unreliable (gray) edges behave
 // reliably. Implementations are bound to a specific network at construction
-// time. bcast[v] reports whether node v broadcasts this round; the adversary
-// may adapt to it, exactly as the model allows. The returned slice holds
-// indices into the network's GrayEdges() list and may be in any order; it is
-// only valid until the next call.
+// time. The engine calls Reach once per executed round, after every process
+// has decided whether to broadcast, with its view of the round:
+//
+//   - bcast[v] reports whether node v broadcasts; the adversary may adapt
+//     to it, exactly as the model allows;
+//   - broadcasters lists the broadcasting nodes in ascending order;
+//   - relCnt[v] is the number of broadcasters reaching node v over reliable
+//     (G) edges, and hitNodes lists exactly the nodes with relCnt > 0, in
+//     the order the engine first hit them.
+//
+// All four are read-only views of engine state, valid only for the duration
+// of the call. The returned slice holds indices into the network's
+// GrayEdges() list and may be in any order; it is only valid until the next
+// call.
 type Adversary interface {
-	Reach(round int, bcast []bool) []int
-}
-
-// ListAdversary is an optional extension implemented by adversaries whose
-// strategy is driven by the broadcasters rather than the gray edge list.
-// The engine passes the precomputed ascending broadcaster list alongside the
-// bcast flags, sparing the adversary its own O(n) scan every round.
-// ReachList must return exactly what Reach would for the same round.
-type ListAdversary interface {
-	Adversary
-	ReachList(round int, bcast []bool, broadcasters []int) []int
-}
-
-// CountedAdversary is a further extension for adversaries whose strategy
-// depends on how many reliable broadcasters reach each node. The engine
-// computes those counts anyway when resolving receptions, so it shares them:
-// relCnt[v] is the number of reliable (G-edge) broadcasters reaching node v
-// this round, and hitNodes lists exactly the nodes with relCnt > 0, in hit
-// order. Both are read-only views of engine state, valid only for the
-// duration of the call. ReachCounted must return exactly what Reach would.
-type CountedAdversary interface {
-	Adversary
-	ReachCounted(round int, bcast []bool, broadcasters []int, relCnt []int32, hitNodes []int32) []int
+	Reach(round int, bcast []bool, broadcasters []int, relCnt []int32, hitNodes []int32) []int
 }
 
 // Skipper is an optional extension for stateful adversaries driven by the
@@ -65,7 +53,7 @@ type None struct{}
 var _ Adversary = None{}
 
 // Reach implements Adversary.
-func (None) Reach(int, []bool) []int { return nil }
+func (None) Reach(int, []bool, []int, []int32, []int32) []int { return nil }
 
 // Full activates every unreliable edge every round, making G' the effective
 // communication graph (maximizing collision opportunities).
@@ -86,7 +74,7 @@ func NewFull(net *dualgraph.Network) *Full {
 }
 
 // Reach implements Adversary.
-func (f *Full) Reach(int, []bool) []int { return f.all }
+func (f *Full) Reach(int, []bool, []int, []int32, []int32) []int { return f.all }
 
 // UniformP activates each unreliable edge independently with probability p
 // every round — a stochastic middle ground modelling bursty gray-zone links.
@@ -105,7 +93,7 @@ func NewUniformP(net *dualgraph.Network, p float64, rng *rand.Rand) *UniformP {
 }
 
 // Reach implements Adversary.
-func (u *UniformP) Reach(_ int, bcast []bool) []int {
+func (u *UniformP) Reach(_ int, bcast []bool, _ []int, _, _ []int32) []int {
 	u.reuse = u.reuse[:0]
 	for i, e := range u.gray {
 		// Only edges incident to a broadcaster can matter this round.

@@ -2,6 +2,7 @@ package adversary_test
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"dualradio/internal/adversary"
@@ -37,9 +38,32 @@ func lineNet(t *testing.T) *dualgraph.Network {
 	return dualgraph.New(g.Build(), gp.Build(), coords, 2)
 }
 
+// reach calls a.Reach with the round view the engine hands an adversary,
+// computed naively: the ascending broadcaster list, per node the number of
+// broadcasting G-neighbors, and the nodes with a nonzero count in ascending
+// order.
+func reach(a adversary.Adversary, net *dualgraph.Network, round int, bcast []bool) []int {
+	var broadcasters []int
+	relCnt := make([]int32, net.N())
+	var hitNodes []int32
+	for v := range bcast {
+		if bcast[v] {
+			broadcasters = append(broadcasters, v)
+		}
+		for _, u := range net.G().Neighbors(v) {
+			if bcast[u] {
+				relCnt[v]++
+			}
+		}
+		if relCnt[v] > 0 {
+			hitNodes = append(hitNodes, int32(v))
+		}
+	}
+	return a.Reach(round, bcast, broadcasters, relCnt, hitNodes)
+}
+
 func TestNoneActivatesNothing(t *testing.T) {
-	var a adversary.None
-	if got := a.Reach(0, []bool{true, true, true, true}); len(got) != 0 {
+	if got := reach(adversary.None{}, lineNet(t), 0, []bool{true, true, true, true}); len(got) != 0 {
 		t.Errorf("None activated %v", got)
 	}
 }
@@ -47,7 +71,7 @@ func TestNoneActivatesNothing(t *testing.T) {
 func TestFullActivatesEverything(t *testing.T) {
 	net := lineNet(t)
 	a := adversary.NewFull(net)
-	got := a.Reach(0, []bool{false, false, false, false})
+	got := reach(a, net, 0, []bool{false, false, false, false})
 	if len(got) != len(net.GrayEdges()) {
 		t.Errorf("Full activated %d of %d", len(got), len(net.GrayEdges()))
 	}
@@ -57,15 +81,15 @@ func TestUniformPExtremes(t *testing.T) {
 	net := lineNet(t)
 	bcast := []bool{true, true, true, true}
 	never := adversary.NewUniformP(net, 0, rand.New(rand.NewPCG(1, 1)))
-	if got := never.Reach(0, bcast); len(got) != 0 {
+	if got := reach(never, net, 0, bcast); len(got) != 0 {
 		t.Errorf("p=0 activated %v", got)
 	}
 	always := adversary.NewUniformP(net, 1, rand.New(rand.NewPCG(1, 1)))
-	if got := always.Reach(0, bcast); len(got) != len(net.GrayEdges()) {
+	if got := reach(always, net, 0, bcast); len(got) != len(net.GrayEdges()) {
 		t.Errorf("p=1 activated %d edges", len(got))
 	}
 	// Edges not incident to a broadcaster are never activated.
-	if got := always.Reach(0, []bool{false, false, false, false}); len(got) != 0 {
+	if got := reach(always, net, 0, []bool{false, false, false, false}); len(got) != 0 {
 		t.Errorf("idle round activated %v", got)
 	}
 }
@@ -80,7 +104,7 @@ func TestCollisionSeekingDestroysUniqueDelivery(t *testing.T) {
 	// Node 0 and node 3 broadcast. Node 1 uniquely hears node 0 over G;
 	// gray edge (1,3) lets the adversary collide it. Symmetrically node 2
 	// hears node 3 and gray (0,2) collides it.
-	got := a.Reach(0, []bool{true, false, false, true})
+	got := reach(a, net, 0, []bool{true, false, false, true})
 	if len(got) != 2 {
 		t.Fatalf("expected 2 activations, got %v", got)
 	}
@@ -99,8 +123,64 @@ func TestCollisionSeekingLeavesHopelessAlone(t *testing.T) {
 	a := adversary.NewCollisionSeeking(net)
 	// Only node 0 broadcasts: node 1's unique delivery cannot be collided
 	// (node 1's only gray neighbor, node 3, is silent).
-	if got := a.Reach(0, []bool{true, false, false, false}); len(got) != 0 {
+	if got := reach(a, net, 0, []bool{true, false, false, false}); len(got) != 0 {
 		t.Errorf("activated %v with no colliding partner available", got)
+	}
+}
+
+// TestCollisionSeekingBranchesAgree: the sparse branch (at most 16
+// broadcasters) and the dense branch both return, for each silent node with
+// exactly one reliable hit, the lowest-index gray edge from a broadcaster
+// into it. The engine oracle cannot catch a divergence between the
+// branches, because the engine and the reference run the same one.
+func TestCollisionSeekingBranchesAgree(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 5))
+	net, err := gen.RandomGeometric(gen.GeometricConfig{N: 128}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := adversary.NewCollisionSeeking(net)
+	gray := net.GrayEdges()
+	sparse, dense := 0, 0 // rounds with a victim, per branch
+	for round := 0; round < 200; round++ {
+		k := 1 + rng.IntN(40)
+		bcast := make([]bool, net.N())
+		for _, v := range rng.Perm(net.N())[:k] {
+			bcast[v] = true
+		}
+		var want []int
+		for v := range bcast {
+			rel := 0
+			for _, u := range net.G().Neighbors(v) {
+				if bcast[u] {
+					rel++
+				}
+			}
+			if bcast[v] || rel != 1 {
+				continue
+			}
+			for idx, e := range gray {
+				if (e[0] == v && bcast[e[1]]) || (e[1] == v && bcast[e[0]]) {
+					want = append(want, idx)
+					break
+				}
+			}
+		}
+		slices.Sort(want)
+		got := slices.Sorted(slices.Values(reach(a, net, round, bcast)))
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d, %d broadcasters: activated %v, want %v", round, k, got, want)
+		}
+		switch {
+		case len(want) == 0:
+		case k <= 16:
+			sparse++
+		default:
+			dense++
+		}
+	}
+	if sparse == 0 || dense == 0 {
+		t.Fatalf("rounds with a victim: sparse %d, dense %d; both branches must be exercised", sparse, dense)
 	}
 }
 
@@ -118,7 +198,7 @@ func TestCliqueIsolatingBlocksBridge(t *testing.T) {
 	bcast[meta.BridgeA] = true
 	other := (meta.BridgeA + 1) % meta.Beta // another clique-A node
 	bcast[other] = true
-	got := a.Reach(0, bcast)
+	got := reach(a, net, 0, bcast)
 	if len(got) == 0 {
 		t.Fatal("adversary failed to block the bridge crossing")
 	}
@@ -137,7 +217,7 @@ func TestCliqueIsolatingBlocksBridge(t *testing.T) {
 	// A solo broadcast by the bridge endpoint cannot be blocked.
 	solo := make([]bool, net.N())
 	solo[meta.BridgeA] = true
-	if got := a.Reach(1, solo); len(got) != 0 {
+	if got := reach(a, net, 1, solo); len(got) != 0 {
 		t.Errorf("solo crossing should be unblockable, activated %v", got)
 	}
 }
@@ -159,7 +239,7 @@ func TestCliqueIsolatingIgnoresIntraCliqueTraffic(t *testing.T) {
 			count++
 		}
 	}
-	if got := a.Reach(0, bcast); len(got) != 0 {
+	if got := reach(a, net, 0, bcast); len(got) != 0 {
 		t.Errorf("intra-clique traffic triggered activations %v", got)
 	}
 }

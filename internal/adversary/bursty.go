@@ -80,7 +80,7 @@ func (b *Bursty) Skip(_, rounds int) {
 }
 
 // Reach implements Adversary.
-func (b *Bursty) Reach(_ int, bcast []bool) []int {
+func (b *Bursty) Reach(_ int, bcast []bool, _ []int, _, _ []int32) []int {
 	b.reuse = b.reuse[:0]
 	for i, e := range b.gray {
 		// Advance the burst state machine every round.
@@ -94,51 +94,4 @@ func (b *Bursty) Reach(_ int, bcast []bool) []int {
 		}
 	}
 	return b.reuse
-}
-
-// Targeted jams one victim node: whenever the victim would uniquely receive
-// a message, the adversary activates a gray edge from any other broadcaster
-// to collide it. This models a localized interference source and is the
-// worst case for a single process's progress.
-type Targeted struct {
-	inner  *CollisionSeeking
-	victim int
-	g      *dualgraph.Network
-	adj    [][]dualgraph.GrayArc
-	reuse  []int
-}
-
-var _ Adversary = (*Targeted)(nil)
-
-// NewTargeted returns a Targeted adversary against the given node.
-func NewTargeted(net *dualgraph.Network, victim int) *Targeted {
-	return &Targeted{
-		victim: victim,
-		g:      net,
-		adj:    net.GrayAdjacency(),
-	}
-}
-
-// Reach implements Adversary.
-func (t *Targeted) Reach(_ int, bcast []bool) []int {
-	t.reuse = t.reuse[:0]
-	if bcast[t.victim] {
-		return t.reuse
-	}
-	relCount := 0
-	for _, w := range t.g.G().Neighbors(t.victim) {
-		if bcast[w] {
-			relCount++
-		}
-	}
-	if relCount != 1 {
-		return t.reuse
-	}
-	for _, arc := range t.adj[t.victim] {
-		if bcast[arc.Peer] {
-			t.reuse = append(t.reuse, int(arc.Idx))
-			break
-		}
-	}
-	return t.reuse
 }

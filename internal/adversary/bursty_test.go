@@ -18,7 +18,7 @@ func TestBurstyActivationFractionTracksDuty(t *testing.T) {
 		active := 0
 		rounds := 4000
 		for r := 0; r < rounds; r++ {
-			active += len(a.Reach(r, bcast))
+			active += len(reach(a, net, r, bcast))
 		}
 		return float64(active) / float64(rounds*len(net.GrayEdges()))
 	}
@@ -40,30 +40,8 @@ func TestBurstyOnlyTouchesBroadcastIncidentEdges(t *testing.T) {
 	a := adversary.NewBursty(net, 5, 5, rand.New(rand.NewPCG(2, 2)))
 	quiet := []bool{false, false, false, false}
 	for r := 0; r < 100; r++ {
-		if got := a.Reach(r, quiet); len(got) != 0 {
+		if got := reach(a, net, r, quiet); len(got) != 0 {
 			t.Fatalf("activated %v with no broadcasters", got)
 		}
-	}
-}
-
-func TestTargetedJamsOnlyVictim(t *testing.T) {
-	net := lineNet(t) // gray edges (0,2) and (1,3)
-	a := adversary.NewTargeted(net, 1)
-	// Node 0 broadcasts (unique delivery to victim 1), node 3 also
-	// broadcasts and owns gray edge (1,3): the adversary jams.
-	got := a.Reach(0, []bool{true, false, false, true})
-	if len(got) != 1 {
-		t.Fatalf("activations = %v", got)
-	}
-	if e := net.GrayEdges()[got[0]]; e != [2]int{1, 3} {
-		t.Errorf("activated %v, want (1,3)", e)
-	}
-	// A delivery to a non-victim is left alone.
-	if got := a.Reach(1, []bool{false, false, false, true}); len(got) != 0 {
-		t.Errorf("jammed a non-victim: %v", got)
-	}
-	// The victim broadcasting itself is not jammed (it hears itself).
-	if got := a.Reach(2, []bool{true, true, false, true}); len(got) != 0 {
-		t.Errorf("jammed a broadcasting victim: %v", got)
 	}
 }

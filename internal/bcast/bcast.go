@@ -142,7 +142,7 @@ func (p *Proc) Broadcast(round int) (sim.Message, int) {
 
 // Receive implements sim.Process.
 func (p *Proc) Receive(round int, msg sim.Message) {
-	if msg == nil || p.informed {
+	if p.informed {
 		return
 	}
 	if _, ok := msg.(payloadMsg); ok {

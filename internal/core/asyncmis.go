@@ -84,9 +84,6 @@ func (p *AsyncMISProcess) MISSet() *detector.Set { return p.misSet }
 // how often it was knocked back.
 func (p *AsyncMISProcess) EpochsStarted() int { return p.epochs }
 
-// WakeRound returns the global round at which the process wakes.
-func (p *AsyncMISProcess) WakeRound() int { return p.wake }
-
 // DecisionLatency returns the number of local rounds (since waking) the
 // process needed to fix its output, or -1 while undecided. Theorem 9.4
 // bounds this by O(log³ n) w.h.p.
@@ -166,11 +163,6 @@ func (p *AsyncMISProcess) announce() *announceMsg {
 	}
 	return p.annMsg
 }
-
-// PassiveReceive marks that Receive ignores nil messages and the process's
-// own echo (see sim.PassiveReceiver): the local epoch clock is derived from
-// the global round, so silent rounds need no callback.
-func (p *AsyncMISProcess) PassiveReceive() {}
 
 // Receive implements sim.Process.
 func (p *AsyncMISProcess) Receive(round int, msg sim.Message) {

@@ -80,10 +80,6 @@ func (p *BaselineCCDSProcess) Rounds() int { return p.total }
 // Output implements sim.Process.
 func (p *BaselineCCDSProcess) Output() int { return p.out }
 
-// PassiveReceive marks that Receive ignores nil messages and the process's
-// own echo (see sim.PassiveReceiver).
-func (p *BaselineCCDSProcess) PassiveReceive() {}
-
 // Done implements sim.Process.
 func (p *BaselineCCDSProcess) Done() bool { return p.done }
 

@@ -267,10 +267,6 @@ func (p *CCDSProcess) initSearch() {
 	p.relays = make(map[int]*relayRecord)
 }
 
-// PassiveReceive marks that Receive ignores nil messages and the process's
-// own echo (see sim.PassiveReceiver).
-func (p *CCDSProcess) PassiveReceive() {}
-
 // Broadcast implements sim.Process. The search schedule has long
 // provably-silent stretches — covered processes during the banned-list
 // phase, MIS processes during decay rounds, processes with nothing to

@@ -62,10 +62,6 @@ func (p *ContinuousCCDSProcess) Period() int { return p.period }
 // completed period (Undecided before the first period completes).
 func (p *ContinuousCCDSProcess) Output() int { return p.out }
 
-// PassiveReceive marks that Receive ignores nil messages and the process's
-// own echo (see sim.PassiveReceiver).
-func (p *ContinuousCCDSProcess) PassiveReceive() {}
-
 // Done implements sim.Process. A continuous process never terminates on its
 // own; executions are bounded by the runner's round cap.
 func (p *ContinuousCCDSProcess) Done() bool { return false }

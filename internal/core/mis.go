@@ -200,10 +200,6 @@ func (p *MISProcess) advanceCursor() {
 	}
 }
 
-// PassiveReceive marks that Receive ignores nil messages and the process's
-// own echo (see sim.PassiveReceiver).
-func (p *MISProcess) PassiveReceive() {}
-
 // nextEpochStart returns the round at which the next epoch begins, assuming
 // the cursor has been advanced past the current round.
 func (p *MISProcess) nextEpochStart(round int) int {

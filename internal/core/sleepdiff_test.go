@@ -102,15 +102,13 @@ type perRoundDriver interface {
 }
 
 // perRound drives a process through its per-round reference: Broadcast
-// always reports round+1, so the engine never parks it, while the
-// passive-receiver contract is preserved.
+// always reports round+1, so the engine never parks it.
 type perRound struct{ inner perRoundDriver }
 
 func (p perRound) Broadcast(r int) (sim.Message, int) { return p.inner.broadcastPerRound(r), r + 1 }
 func (p perRound) Receive(r int, m sim.Message)       { p.inner.Receive(r, m) }
 func (p perRound) Output() int                        { return p.inner.Output() }
 func (p perRound) Done() bool                         { return p.inner.Done() }
-func (p perRound) PassiveReceive()                    {}
 
 // perRoundFixed is perRound for a fixed-length process: forwarding Rounds
 // lets the engine retire it exactly where it retires the sleeping drive.

@@ -86,10 +86,6 @@ func (p *TauCCDSProcess) Rounds() int { return p.total }
 // Output implements sim.Process.
 func (p *TauCCDSProcess) Output() int { return p.out }
 
-// PassiveReceive marks that Receive ignores nil messages and the process's
-// own echo (see sim.PassiveReceiver).
-func (p *TauCCDSProcess) PassiveReceive() {}
-
 // Done implements sim.Process.
 func (p *TauCCDSProcess) Done() bool { return p.done }
 

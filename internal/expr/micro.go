@@ -44,9 +44,7 @@ func (p *bbProbe) Broadcast(round int) (sim.Message, int) {
 }
 
 func (p *bbProbe) Receive(_ int, msg sim.Message) {
-	if msg != nil && msg.From() != p.id {
-		p.heard[msg.From()] = true
-	}
+	p.heard[msg.From()] = true
 }
 
 func (p *bbProbe) Output() int { return 0 }
@@ -169,8 +167,8 @@ func (p *decayProbe) Broadcast(round int) (sim.Message, int) {
 	return nil, round + 1
 }
 
-func (p *decayProbe) Receive(round int, msg sim.Message) {
-	if p.center && msg != nil && msg.From() != p.id && p.firstRx < 0 {
+func (p *decayProbe) Receive(round int, _ sim.Message) {
+	if p.center && p.firstRx < 0 {
 		p.firstRx = round
 	}
 }

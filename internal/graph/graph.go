@@ -14,8 +14,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 )
 
 // ErrVertexRange is returned when an edge endpoint is outside [0, n).
@@ -30,11 +28,6 @@ type Graph struct {
 	m   int
 	off []int32 // len n+1; neighbor arena bounds per vertex
 	nbr []int32 // len 2m; sorted neighbors, vertex after vertex
-
-	// Lazily built packed-row adjacency (see Bitrows); the graph is
-	// immutable, so the cache never goes stale.
-	bitOnce sync.Once
-	bit     atomic.Pointer[Bitrows]
 }
 
 // New returns an edgeless immutable graph with n vertices.

@@ -61,10 +61,9 @@ func (p *calendarProc) Receive(round int, msg sim.Message) {
 		p.recv[round] = msg
 	}
 }
-func (p *calendarProc) Output() int     { return 0 }
-func (p *calendarProc) Done() bool      { return false }
-func (p *calendarProc) Rounds() int     { return p.total }
-func (p *calendarProc) PassiveReceive() {}
+func (p *calendarProc) Output() int { return 0 }
+func (p *calendarProc) Done() bool  { return false }
+func (p *calendarProc) Rounds() int { return p.total }
 
 var _ sim.LeapBroadcaster = (*calendarProc)(nil)
 
@@ -82,8 +81,11 @@ type skipLog struct {
 	skips [][2]int
 }
 
-func (a *skipLog) Reach(round int, _ []bool) []int { a.reach = append(a.reach, round); return nil }
-func (a *skipLog) Skip(round, rounds int)          { a.skips = append(a.skips, [2]int{round, rounds}) }
+func (a *skipLog) Reach(round int, _ []bool, _ []int, _, _ []int32) []int {
+	a.reach = append(a.reach, round)
+	return nil
+}
+func (a *skipLog) Skip(round, rounds int) { a.skips = append(a.skips, [2]int{round, rounds}) }
 
 // TestLeapPrefersBroadcastLeap: with Config.Leap the engine drives
 // BroadcastLeap only; without it, Broadcast only — on the same dual-contract

@@ -133,7 +133,6 @@ func (b *bernoulliProc) Receive(int, sim.Message) {}
 func (b *bernoulliProc) Output() int              { return 0 }
 func (b *bernoulliProc) Done() bool               { return false }
 func (b *bernoulliProc) Rounds() int              { return b.total }
-func (b *bernoulliProc) PassiveReceive()          {}
 
 var _ sim.LeapBroadcaster = (*bernoulliProc)(nil)
 

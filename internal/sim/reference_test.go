@@ -22,10 +22,11 @@ import (
 func refReception(net *dualgraph.Network, bcast []bool, activeGray map[int]bool) []int {
 	n := net.N()
 	gray := net.GrayEdges()
-	out := make([]int, n) // 0 = ⊥, otherwise 1-based index of the sender node
+	// 0 = no reception (⊥, or a broadcaster, which hears only itself);
+	// otherwise the 1-based index of the sender node.
+	out := make([]int, n)
 	for v := 0; v < n; v++ {
 		if bcast[v] {
-			out[v] = v + 1 // broadcasters hear themselves
 			continue
 		}
 		count, sender := 0, 0
@@ -54,8 +55,10 @@ func refReception(net *dualgraph.Network, bcast []bool, activeGray map[int]bool)
 	return out
 }
 
-// recordingProc broadcasts per a random script and records the sender node
-// of each reception.
+// recordingProc broadcasts per a random script and records, per round, the
+// 1-based sender node of the Receive call: 0 when Receive was not called,
+// -1 when it was called with nil (which the contract forbids). It is done
+// after limit Broadcast calls.
 type recordingProc struct {
 	node   int
 	script []bool
@@ -65,6 +68,7 @@ type recordingProc struct {
 }
 
 func (p *recordingProc) Broadcast(round int) (sim.Message, int) {
+	p.round++
 	if round < len(p.script) && p.script[round] {
 		return refMsg{from: p.node + 1}, round + 1
 	}
@@ -77,12 +81,10 @@ func (m refMsg) From() int    { return m.from }
 func (m refMsg) BitSize() int { return 16 }
 
 func (p *recordingProc) Receive(round int, msg sim.Message) {
-	got := 0
+	p.heard[round] = -1
 	if msg != nil {
-		got = msg.From()
+		p.heard[round] = msg.From()
 	}
-	p.heard = append(p.heard, got)
-	p.round++
 }
 func (p *recordingProc) Output() int { return 0 }
 func (p *recordingProc) Done() bool  { return p.round >= p.limit }
@@ -94,8 +96,8 @@ type capturingAdversary struct {
 	log   []map[int]bool
 }
 
-func (c *capturingAdversary) Reach(round int, bcast []bool) []int {
-	got := c.inner.Reach(round, bcast)
+func (c *capturingAdversary) Reach(round int, bcast []bool, broadcasters []int, relCnt, hitNodes []int32) []int {
+	got := c.inner.Reach(round, bcast, broadcasters, relCnt, hitNodes)
 	m := make(map[int]bool, len(got))
 	for _, idx := range got {
 		m[idx] = true
@@ -124,7 +126,7 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 			for r := range script {
 				script[r] = rng.Float64() < 0.3
 			}
-			recs[v] = &recordingProc{node: v, script: script, limit: rounds}
+			recs[v] = &recordingProc{node: v, script: script, heard: make([]int, rounds), limit: rounds}
 			procs[v] = recs[v]
 		}
 		adv := &capturingAdversary{
@@ -165,16 +167,17 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 }
 
 // refExecution is the naive whole-execution reference for the exact engine:
-// the Section 2 round rule with no active set, wake calendar, passive
-// receivers, or list/counted adversary. Every round it calls Broadcast on
-// each process that is not done unless the wake round the process last
-// declared while silent is still ahead (a per-process compare, no heap),
-// asks the adversary for the reach set through plain Reach, dispatches
-// Receive to every process that is not done — ⊥ and the process's own
-// message included — and then checks Done directly. Reception counters tally
-// every silent node a broadcaster reaches, done or not. It stops where
-// Runner.Run does (every process done, or maxRounds), or, with untilDecided,
-// where Runner.RunUntil(AllDecided) does.
+// the Section 2 round rule with no active set, wake calendar or hit list.
+// Every round it calls Broadcast on each process that is not done unless the
+// wake round the process last declared while silent is still ahead (a
+// per-process compare, no heap), hands the adversary a round view it
+// computes itself (the ascending broadcaster list, and per node the count of
+// broadcasting G-neighbors, with the counted nodes in ascending order),
+// dispatches Receive to every silent process that is not done and is
+// reached by exactly one broadcaster, and then checks Done directly.
+// Reception counters tally every silent node a broadcaster reaches, done or
+// not. It stops where Runner.Run does (every process done, or maxRounds),
+// or, with untilDecided, where Runner.RunUntil(AllDecided) does.
 func refExecution(net *dualgraph.Network, adv adversary.Adversary, procs []sim.Process,
 	maxRounds int, untilDecided bool) ([]int, sim.Stats) {
 	n := net.N()
@@ -185,6 +188,7 @@ func refExecution(net *dualgraph.Network, adv adversary.Adversary, procs []sim.P
 	bcast := make([]bool, n)
 	cnt := make([]int, n)
 	from := make([]int, n)
+	relCnt := make([]int32, n)
 	decided := func() bool {
 		for _, p := range procs {
 			if p.Output() == sim.Undecided {
@@ -226,7 +230,19 @@ func refExecution(net *dualgraph.Network, adv adversary.Adversary, procs []sim.P
 				reach(u, int(v))
 			}
 		}
-		active := adv.Reach(round, bcast)
+		// cnt holds only reliable hits until the gray edges are added.
+		var broadcasters []int
+		var hitNodes []int32
+		for v := 0; v < n; v++ {
+			if bcast[v] {
+				broadcasters = append(broadcasters, v)
+			}
+			relCnt[v] = int32(cnt[v])
+			if cnt[v] > 0 {
+				hitNodes = append(hitNodes, int32(v))
+			}
+		}
+		active := adv.Reach(round, bcast, broadcasters, relCnt, hitNodes)
 		st.GrayActivations += len(active)
 		for _, idx := range active {
 			e := gray[idx]
@@ -234,18 +250,15 @@ func refExecution(net *dualgraph.Network, adv adversary.Adversary, procs []sim.P
 			reach(e[1], e[0])
 		}
 		for v, p := range procs {
-			var got sim.Message
 			switch {
-			case bcast[v]:
-				got = msgs[v]
+			case bcast[v]: // a broadcaster hears only itself: no reception
 			case cnt[v] == 1:
-				got = msgs[from[v]]
 				st.Deliveries++
+				if !done[v] {
+					p.Receive(round, msgs[from[v]])
+				}
 			case cnt[v] > 1:
 				st.Collisions++
-			}
-			if !done[v] {
-				p.Receive(round, got)
 			}
 		}
 		st.Rounds = round + 1
@@ -274,6 +287,7 @@ var refAdversaries = []struct {
 	make func(net *dualgraph.Network, seed uint64) adversary.Adversary
 }{
 	{"none", func(*dualgraph.Network, uint64) adversary.Adversary { return adversary.None{} }},
+	{"full", func(net *dualgraph.Network, _ uint64) adversary.Adversary { return adversary.NewFull(net) }},
 	{"collision-seeking", func(net *dualgraph.Network, _ uint64) adversary.Adversary {
 		return adversary.NewCollisionSeeking(net)
 	}},
@@ -410,7 +424,7 @@ func TestRunnerMatchesReference(t *testing.T) {
 
 // FuzzRunnerMatchesReference runs the whole-execution oracle over fuzzed
 // cases: the instance seed, a small n, the protocol, and the adversary
-// kind. The corpus starts from TestRunnerMatchesReference's 60 cases.
+// kind. The corpus starts from TestRunnerMatchesReference's 75 cases.
 func FuzzRunnerMatchesReference(f *testing.F) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		for proto := uint8(0); proto < 5; proto++ {

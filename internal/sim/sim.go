@@ -15,9 +15,10 @@
 //
 // Performance: the runner maintains an active set of processes that are not
 // yet Done, a wake calendar of sleeping processes, and a monotone undecided
-// scan pointer, so each round costs O(runnable + hits) engine work rather
-// than O(n); per-round buffers (hit counters, broadcaster and delivery
-// lists, adversary reach slices) are reused across rounds.
+// scan pointer, and it dispatches Receive only for genuine receptions, so
+// each round costs O(runnable + hits) engine work rather than O(n);
+// per-round buffers (hit counters, broadcaster and delivery lists,
+// adversary reach slices) are reused across rounds.
 package sim
 
 import (
@@ -97,9 +98,12 @@ type Process interface {
 	// process is awake and returns the message to transmit (nil to stay
 	// silent) together with the wake round described above.
 	Broadcast(round int) (Message, int)
-	// Receive reports the round's outcome to the process: the received
-	// message, or nil for ⊥ (silence or collision — indistinguishable).
-	// A broadcaster always receives its own message.
+	// Receive delivers the message of the unique broadcaster that reached
+	// the process this round, and is called only then. A round that ends
+	// in ⊥ (silence or collision, indistinguishable in the model) makes no
+	// call, and neither does the process's own broadcast round, since a
+	// broadcaster hears only itself. So msg is never nil and never the
+	// process's own message.
 	Receive(round int, msg Message)
 	// Output returns the process's current output: Undecided, 0, or 1.
 	Output() int
@@ -169,8 +173,6 @@ type Config struct {
 type Runner struct {
 	cfg   Config
 	adv   adversary.Adversary
-	ladv  adversary.ListAdversary    // non-nil when adv accepts broadcaster lists
-	cadv  adversary.CountedAdversary // non-nil when adv reuses engine hit counts
 	gray  [][2]int
 	round int
 	stats Stats
@@ -193,13 +195,9 @@ type Runner struct {
 	firstUndecided int
 	// Sleep bookkeeping: sleepUntil[v] is the round before which
 	// Broadcast calls are skipped. leapers[v] is non-nil for
-	// LeapBroadcaster processes when Config.Leap is set. passive[v] marks
-	// PassiveReceiver processes; when every process is passive the
-	// delivery phase walks only the hit nodes.
+	// LeapBroadcaster processes when Config.Leap is set.
 	sleepUntil []int
 	leapers    []LeapBroadcaster
-	passive    []bool
-	allPassive bool
 	// Wake calendar: runnable is the awake subset of active (ascending);
 	// sleeping processes sit in a min-heap of (wakeRound, node) pairs and
 	// are merged back when their round arrives, so a round's broadcast
@@ -244,17 +242,6 @@ type LeapBroadcaster interface {
 	BroadcastLeap(round int) (Message, int)
 }
 
-// PassiveReceiver is an optional marker for processes whose Receive is a
-// no-op for nil messages (silence/collision) and for their own broadcast
-// echo: no state change, no randomness. The engine then dispatches Receive
-// only for genuine foreign deliveries, making the delivery phase cost
-// O(deliveries) instead of O(active).
-type PassiveReceiver interface {
-	Process
-	// PassiveReceive is never called; it only marks the contract.
-	PassiveReceive()
-}
-
 // NewRunner validates the configuration and returns a ready Runner.
 func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.Net == nil {
@@ -286,18 +273,10 @@ func NewRunner(cfg Config) (*Runner, error) {
 		isActive:   make([]bool, n),
 		deadline:   make([]int, n),
 		sleepUntil: make([]int, n),
-		passive:    make([]bool, n),
 	}
 	if cfg.Leap {
 		r.leapers = make([]LeapBroadcaster, n)
 	}
-	if la, ok := adv.(adversary.ListAdversary); ok {
-		r.ladv = la
-	}
-	if ca, ok := adv.(adversary.CountedAdversary); ok {
-		r.cadv = ca
-	}
-	r.allPassive = true
 	r.uniformDeadline = -1
 	for v, p := range cfg.Processes {
 		r.deadline[v] = -1
@@ -316,11 +295,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 			if lb, ok := p.(LeapBroadcaster); ok {
 				r.leapers[v] = lb
 			}
-		}
-		if _, ok := p.(PassiveReceiver); ok {
-			r.passive[v] = true
-		} else {
-			r.allPassive = false
 		}
 		if !p.Done() {
 			r.active = append(r.active, int32(v))
@@ -434,9 +408,6 @@ func (r *Runner) AllDecided() bool {
 	return r.firstUndecided == len(procs)
 }
 
-// ActiveCount returns the number of processes that are not yet Done.
-func (r *Runner) ActiveCount() int { return len(r.active) }
-
 // Step executes one round. It reports false when the execution has finished
 // (all processes done, the round cap was reached, or a fatal error occurred).
 func (r *Runner) Step() bool {
@@ -473,25 +444,17 @@ func (r *Runner) Step() bool {
 	}
 	r.stats.Broadcasts += len(r.bList)
 
-	// Phase 2+3: reliable receptions are counted first, so a counting
-	// adversary can reuse them instead of re-walking every broadcaster's
-	// neighborhood; then the adversary fixes the reach set, and finally
-	// the activated gray edges are folded into the same hit counters.
+	// Phase 2+3: reliable receptions are counted first, so the adversary
+	// sees the round's reliable hit counts; then it fixes the reach set,
+	// and finally the activated gray edges are folded into the same hit
+	// counters.
 	g := r.cfg.Net.G()
 	for _, u := range r.bList {
 		for _, v := range g.Neighbors(u) {
 			r.hit(int(v), u)
 		}
 	}
-	var reach []int
-	switch {
-	case r.cadv != nil:
-		reach = r.cadv.ReachCounted(r.round, r.bcast, r.bList, r.cnt, r.touched)
-	case r.ladv != nil:
-		reach = r.ladv.ReachList(r.round, r.bcast, r.bList)
-	default:
-		reach = r.adv.Reach(r.round, r.bcast)
-	}
+	reach := r.adv.Reach(r.round, r.bcast, r.bList, r.cnt, r.touched)
 	r.stats.GrayActivations += len(reach)
 	for _, idx := range reach {
 		e := r.gray[idx]
@@ -503,8 +466,8 @@ func (r *Runner) Step() bool {
 		}
 	}
 
-	// Phase 4: record stats over the hit nodes, then deliver the outcome
-	// to every active process.
+	// Phase 4: record stats over the hit nodes, then deliver each genuine
+	// reception.
 	r.recordReceptions()
 	r.deliver()
 
@@ -572,7 +535,7 @@ func (r *Runner) Step() bool {
 // by contract they never broadcast again.
 func (r *Runner) collectBroadcasts() {
 	// msgs[v] is written only for broadcasters: the slot is read solely
-	// under bcast[v] (self-reception) or via from[v] (which always names a
+	// by the size check below and via from[v] (which always names a
 	// current broadcaster), so stale entries are unreachable and the
 	// common silent round costs no interface stores or write barriers.
 	r.bList = r.bList[:0]
@@ -629,44 +592,16 @@ func (r *Runner) broadcast(v int) Message {
 	return m
 }
 
-// deliver dispatches the round outcome to every active process according to
-// the model's reception rule. Stats were already recorded (see
+// deliver calls Receive for every genuine reception of the round: a silent,
+// active process reached by exactly one broadcaster. ⊥ and a broadcaster's
+// own echo are never dispatched (see Process.Receive), so the loop walks the
+// hit nodes rather than the active set. Stats were already recorded (see
 // recordReceptions).
-//
-// When every process is a PassiveReceiver, nil and self receptions are
-// no-ops by contract, so only genuine deliveries are dispatched: the loop
-// walks the hit nodes instead of the whole active set.
 func (r *Runner) deliver() {
-	if r.allPassive {
-		for _, v := range r.touched {
-			if !r.bcast[v] && r.cnt[v] == 1 && r.isActive[v] {
-				r.cfg.Processes[v].Receive(r.round, r.msgs[r.from[v]])
-			}
+	for _, v := range r.touched {
+		if !r.bcast[v] && r.cnt[v] == 1 && r.isActive[v] {
+			r.cfg.Processes[v].Receive(r.round, r.msgs[r.from[v]])
 		}
-		return
-	}
-	for _, v := range r.active {
-		r.receive(int(v))
-	}
-}
-
-// receive delivers the round outcome to the process at node v: its own
-// message if it broadcast, the unique reaching message if exactly one
-// broadcaster reached it, and ⊥ otherwise.
-func (r *Runner) receive(v int) {
-	p := r.cfg.Processes[v]
-	if r.bcast[v] {
-		if !r.passive[v] {
-			p.Receive(r.round, r.msgs[v])
-		}
-		return
-	}
-	if r.cnt[v] == 1 {
-		p.Receive(r.round, r.msgs[r.from[v]])
-		return
-	}
-	if !r.passive[v] {
-		p.Receive(r.round, nil)
 	}
 }
 

@@ -20,12 +20,14 @@ type testMsg struct {
 func (m testMsg) From() int    { return m.from }
 func (m testMsg) BitSize() int { return m.bits }
 
-// scriptProc broadcasts according to a per-round script and records
-// receptions.
+// scriptProc broadcasts according to a per-round script and records every
+// Receive call. It is done after limit Broadcast calls: under the reception
+// contract a process is not called back on ⊥ rounds, so Receive calls cannot
+// count rounds.
 type scriptProc struct {
 	id     int
 	script map[int]sim.Message // round -> message
-	recv   map[int]sim.Message // round -> received (nil entries recorded too)
+	recv   map[int]sim.Message // round -> received (a nil call is recorded too)
 	rounds int
 	limit  int
 }
@@ -42,11 +44,19 @@ func newScriptProc(id, limit int) *scriptProc {
 }
 
 func (p *scriptProc) Broadcast(round int) (sim.Message, int) {
+	p.rounds++
 	return p.script[round], round + 1
 }
 func (p *scriptProc) Receive(round int, msg sim.Message) {
 	p.recv[round] = msg
-	p.rounds++
+}
+
+// assertNoReceive fails when the engine called Receive on p in round.
+func assertNoReceive(t *testing.T, p *scriptProc, round int, why string) {
+	t.Helper()
+	if m, ok := p.recv[round]; ok {
+		t.Errorf("process %d: Receive(%d, %v) called on %s", p.id, round, m, why)
+	}
 }
 func (p *scriptProc) Output() int { return 0 }
 func (p *scriptProc) Done() bool  { return p.rounds >= p.limit }
@@ -101,7 +111,9 @@ func runScripted(t *testing.T, net *dualgraph.Network, procs []*scriptProc,
 	return r, st
 }
 
-// TestSoloDelivery: a single broadcaster reaches exactly its G neighbors.
+// TestSoloDelivery: a single broadcaster reaches exactly its G neighbors,
+// and neither the broadcaster (its own echo) nor the unreached node (⊥) is
+// called back.
 func TestSoloDelivery(t *testing.T) {
 	net := lineNet(t)
 	procs := make([]*scriptProc, 4)
@@ -114,12 +126,9 @@ func TestSoloDelivery(t *testing.T) {
 	if procs[0].recv[0] != msg || procs[2].recv[0] != msg {
 		t.Error("G neighbors of node 1 should receive")
 	}
-	if procs[3].recv[0] != nil {
-		t.Error("node 3 is not a G neighbor and gray edges are inactive")
-	}
-	if procs[1].recv[0] != msg {
-		t.Error("broadcaster receives its own message")
-	}
+	// Node 3 is not a G neighbor and gray edges are inactive.
+	assertNoReceive(t, procs[3], 0, "a ⊥ round")
+	assertNoReceive(t, procs[1], 0, "its own broadcast round")
 	if st.Deliveries != 2 || st.Broadcasts != 1 || st.Collisions != 0 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -135,9 +144,8 @@ func TestCollision(t *testing.T) {
 	procs[0].script[0] = testMsg{from: 1, bits: 8}
 	procs[2].script[0] = testMsg{from: 3, bits: 8}
 	_, st := runScripted(t, net, procs, nil, 0)
-	if procs[1].recv[0] != nil {
-		t.Error("node 1 hears both broadcasters: collision expected")
-	}
+	// Node 1 hears both broadcasters: a collision, so ⊥.
+	assertNoReceive(t, procs[1], 0, "a collision round")
 	// Node 3 hears only node 2 -> delivery.
 	if procs[3].recv[0] == nil || procs[3].recv[0].From() != 3 {
 		t.Error("node 3 should receive from node 2 (id 3)")
@@ -147,8 +155,8 @@ func TestCollision(t *testing.T) {
 	}
 }
 
-// TestBroadcasterDeaf: a broadcaster hears itself even when a neighbor also
-// broadcasts.
+// TestBroadcasterDeaf: a broadcaster hears nothing, not even a neighbor
+// that broadcasts alone to it, and is not called back with its own echo.
 func TestBroadcasterDeaf(t *testing.T) {
 	net := lineNet(t)
 	procs := make([]*scriptProc, 4)
@@ -160,9 +168,15 @@ func TestBroadcasterDeaf(t *testing.T) {
 	procs[0].script[0] = m0
 	procs[1].script[0] = m1
 	runScripted(t, net, procs, nil, 0)
-	if procs[0].recv[0] != m0 || procs[1].recv[0] != m1 {
-		t.Error("broadcasters must receive their own messages")
+	// Nodes 0 and 1 reach each other uniquely over G: only deafness keeps
+	// them from receiving.
+	assertNoReceive(t, procs[0], 0, "its own broadcast round")
+	assertNoReceive(t, procs[1], 0, "its own broadcast round")
+	if procs[2].recv[0] != m1 {
+		t.Error("node 2 hears only node 1 and should receive")
 	}
+	// Node 3's one G neighbor, node 2, is silent.
+	assertNoReceive(t, procs[3], 0, "a ⊥ round")
 }
 
 // TestGrayActivation: with the Full adversary a gray edge delivers (or
@@ -195,9 +209,8 @@ func TestGrayCausesCollision(t *testing.T) {
 	procs[1].script[0] = testMsg{from: 2, bits: 8} // node 1 -> reaches node 0 reliably
 	procs[2].script[0] = testMsg{from: 3, bits: 8} // node 2: gray edge (0,2)
 	_, _ = runScripted(t, net, procs, adversary.NewFull(net), 0)
-	if procs[0].recv[0] != nil {
-		t.Error("gray edge (0,2) active: node 0 must hear a collision")
-	}
+	// Gray edge (0,2) is active: node 0 must hear a collision.
+	assertNoReceive(t, procs[0], 0, "a collision round")
 }
 
 // TestMessageSizeEnforced: exceeding b aborts with ErrMessageTooLarge.

@@ -74,16 +74,8 @@ func MISOver(ind, h *graph.Graph, outputs []int) *Report {
 			rep.add("termination", "node %d undecided", v)
 		}
 	}
-	members := memberBits(outputs)
-	// Independence fast path: a member with no member neighbor (one
-	// word-parallel row scan) needs no per-edge pair search. Only conflicted
-	// members fall into the edge walk that names the violating pair.
-	indRows := ind.BitrowsIfDense()
 	for v, out := range outputs {
 		if out != 1 {
-			continue
-		}
-		if indRows != nil && !indRows.IntersectsSet(v, members) {
 			continue
 		}
 		for _, w := range ind.Neighbors(v) {
@@ -92,35 +84,19 @@ func MISOver(ind, h *graph.Graph, outputs []int) *Report {
 			}
 		}
 	}
-	hRows := h.BitrowsIfDense()
 	for v, out := range outputs {
 		if out != 0 {
 			continue
 		}
-		if !coveredBy(h, hRows, members, outputs, v) {
+		if !coveredBy(h, outputs, v) {
 			rep.add("maximality", "node %d output 0 with no MIS H-neighbor", v)
 		}
 	}
 	return rep
 }
 
-// memberBits packs outputs==1 into a vertex bitset for word-parallel scans.
-func memberBits(outputs []int) []uint64 {
-	set := graph.NewBitset(len(outputs))
-	for v, out := range outputs {
-		if out == 1 {
-			graph.SetBit(set, v)
-		}
-	}
-	return set
-}
-
-// coveredBy reports whether v has an h-neighbor with output 1, using the
-// packed rows when h is dense enough and the CSR walk otherwise.
-func coveredBy(h *graph.Graph, rows *graph.Bitrows, members []uint64, outputs []int, v int) bool {
-	if rows != nil {
-		return rows.IntersectsSet(v, members)
-	}
+// coveredBy reports whether v has an h-neighbor with output 1.
+func coveredBy(h *graph.Graph, outputs []int, v int) bool {
 	for _, w := range h.Neighbors(v) {
 		if outputs[w] == 1 {
 			return true
@@ -155,13 +131,11 @@ func CCDS(net *dualgraph.Network, h *graph.Graph, outputs []int, degreeBound int
 	if !h.ConnectedSubset(member) {
 		rep.add("connectivity", "CCDS is not connected in H")
 	}
-	members := memberBits(outputs)
-	hRows := h.BitrowsIfDense()
 	for v, out := range outputs {
 		if out != 0 {
 			continue
 		}
-		if !coveredBy(h, hRows, members, outputs, v) {
+		if !coveredBy(h, outputs, v) {
 			rep.add("domination", "node %d output 0 with no CCDS H-neighbor", v)
 		}
 	}
@@ -178,15 +152,6 @@ func CCDS(net *dualgraph.Network, h *graph.Graph, outputs []int, degreeBound int
 func MaxCCDSDegree(net *dualgraph.Network, outputs []int) int {
 	maxDeg := 0
 	gp := net.GPrime()
-	if rows := gp.BitrowsIfDense(); rows != nil {
-		members := memberBits(outputs)
-		for v := 0; v < net.N(); v++ {
-			if c := rows.CountSet(v, members); c > maxDeg {
-				maxDeg = c
-			}
-		}
-		return maxDeg
-	}
 	for v := 0; v < net.N(); v++ {
 		c := 0
 		for _, w := range gp.Neighbors(v) {
