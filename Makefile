@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check detvet fuzz-smoke verify serve sweep-e2e crash-e2e fleet-e2e metrics-e2e chaos
+.PHONY: build test check detvet fuzz-smoke bench-smoke verify serve sweep-e2e crash-e2e fleet-e2e metrics-e2e chaos
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSpecCanonicalization -fuzztime 30s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzLeapDifferential -fuzztime 30s ./internal/harness
 	$(GO) test -run '^$$' -fuzz FuzzRunnerMatchesReference -fuzztime 30s ./internal/sim
+
+# bench-smoke runs every package benchmark once (about 10 s), so the
+# benchmarks keep running instead of only compiling under go test ./...
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # serve runs the simulation service daemon (see examples/radiod/README.md
 # for the API quickstart; ADDR overrides the listen address).

@@ -11,13 +11,14 @@ import "dualradio/internal/dualgraph"
 // standard contention-reduction techniques.
 type CollisionSeeking struct {
 	grayAdj [][]dualgraph.GrayArc
-	reuse   []int
-	// cand[v] is the smallest-index gray edge from a current broadcaster
-	// to victim v (-1 when none), maintained by the broadcaster-driven
-	// pass; candTouched lists the victims it marked, in marking order.
-	cand        []int32
-	candTouched []int32
+	reuse   []int // capacity n: at most one activation per hit node
+	// cand[v] is the smallest-index gray arc from a current broadcaster
+	// into v, a node with exactly one reliable hit, while the sparse pass
+	// runs; noCand otherwise.
+	cand []int32
 }
+
+const noCand = 1<<31 - 1 // empty cand slot, above every gray edge index
 
 var _ Adversary = (*CollisionSeeking)(nil)
 
@@ -25,10 +26,11 @@ var _ Adversary = (*CollisionSeeking)(nil)
 func NewCollisionSeeking(net *dualgraph.Network) *CollisionSeeking {
 	c := &CollisionSeeking{
 		grayAdj: net.GrayAdjacency(),
+		reuse:   make([]int, 0, net.N()),
 		cand:    make([]int32, net.N()),
 	}
 	for i := range c.cand {
-		c.cand[i] = -1
+		c.cand[i] = noCand
 	}
 	return c
 }
@@ -45,29 +47,33 @@ func NewCollisionSeeking(net *dualgraph.Network) *CollisionSeeking {
 func (c *CollisionSeeking) Reach(_ int, bcast []bool, broadcasters []int, relCnt []int32, hitNodes []int32) []int {
 	c.reuse = c.reuse[:0]
 	if len(broadcasters) <= 16 {
-		// Sparse round: walk the gray arcs of the few broadcasters, keep
-		// only arcs into a victim (a silent node with exactly one reliable
-		// hit), then emit each victim's lowest-index arc.
+		// Sparse round, branch-free: each gray peer keeps its lowest arc
+		// key, which is noCand unless relCnt[v] == 1 (relCnt[v]^1 is then
+		// zero; otherwise its negation's sign bit fills the mask). Marked
+		// nodes are hit nodes, so one walk clears them all and writes each
+		// key at the end of the output, which advances only past a victim.
 		for _, u := range broadcasters {
 			for _, arc := range c.grayAdj[u] {
 				v := arc.Peer
-				if relCnt[v] != 1 || bcast[v] {
-					continue
-				}
-				switch prev := c.cand[v]; {
-				case prev < 0:
-					c.candTouched = append(c.candTouched, v)
-					c.cand[v] = arc.Idx
-				case arc.Idx < prev:
-					c.cand[v] = arc.Idx
-				}
+				key := arc.Idx | -(relCnt[v]^1)>>31&noCand
+				c.cand[v] = min(c.cand[v], key)
 			}
 		}
-		for _, v := range c.candTouched {
-			c.reuse = append(c.reuse, int(c.cand[v]))
-			c.cand[v] = -1
+		out, k := c.reuse[:len(hitNodes)], 0
+		for _, v := range hitNodes {
+			key := c.cand[v]
+			c.cand[v] = noCand
+			out[k] = int(key)
+			victim := 0
+			if key != noCand {
+				victim = 1
+			}
+			if bcast[v] {
+				victim = 0
+			}
+			k += victim
 		}
-		c.candTouched = c.candTouched[:0]
+		c.reuse = out[:k]
 		return c.reuse
 	}
 	// Dense round: scanning each victim's gray arcs terminates quickly

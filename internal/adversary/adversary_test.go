@@ -132,7 +132,11 @@ func TestCollisionSeekingLeavesHopelessAlone(t *testing.T) {
 // broadcasters) and the dense branch both return, for each silent node with
 // exactly one reliable hit, the lowest-index gray edge from a broadcaster
 // into it. The engine oracle cannot catch a divergence between the
-// branches, because the engine and the reference run the same one.
+// branches, because the engine and the reference run the same one. The
+// sparse branch also marks a broadcaster with exactly one reliable hit
+// when a gray neighbour broadcasts; its emit walk must skip that node and
+// still clear the mark, so the test requires sparse rounds with such a
+// broadcaster.
 func TestCollisionSeekingBranchesAgree(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 5))
 	net, err := gen.RandomGeometric(gen.GeometricConfig{N: 128}, rng)
@@ -141,7 +145,8 @@ func TestCollisionSeekingBranchesAgree(t *testing.T) {
 	}
 	a := adversary.NewCollisionSeeking(net)
 	gray := net.GrayEdges()
-	sparse, dense := 0, 0 // rounds with a victim, per branch
+	sparse, dense := 0, 0  // rounds with a victim, per branch
+	markedBroadcaster := 0 // sparse rounds marking a broadcaster
 	for round := 0; round < 200; round++ {
 		k := 1 + rng.IntN(40)
 		bcast := make([]bool, net.N())
@@ -149,6 +154,7 @@ func TestCollisionSeekingBranchesAgree(t *testing.T) {
 			bcast[v] = true
 		}
 		var want []int
+		marked := false
 		for v := range bcast {
 			rel := 0
 			for _, u := range net.G().Neighbors(v) {
@@ -156,15 +162,22 @@ func TestCollisionSeekingBranchesAgree(t *testing.T) {
 					rel++
 				}
 			}
-			if bcast[v] || rel != 1 {
+			if rel != 1 {
 				continue
 			}
 			for idx, e := range gray {
 				if (e[0] == v && bcast[e[1]]) || (e[1] == v && bcast[e[0]]) {
-					want = append(want, idx)
+					if bcast[v] {
+						marked = true
+					} else {
+						want = append(want, idx)
+					}
 					break
 				}
 			}
+		}
+		if marked && k <= 16 {
+			markedBroadcaster++
 		}
 		slices.Sort(want)
 		got := slices.Sorted(slices.Values(reach(a, net, round, bcast)))
@@ -181,6 +194,9 @@ func TestCollisionSeekingBranchesAgree(t *testing.T) {
 	}
 	if sparse == 0 || dense == 0 {
 		t.Fatalf("rounds with a victim: sparse %d, dense %d; both branches must be exercised", sparse, dense)
+	}
+	if markedBroadcaster == 0 {
+		t.Fatal("no sparse round has a broadcaster with one reliable hit and a broadcasting gray neighbour")
 	}
 }
 

@@ -166,20 +166,17 @@ func (p *AsyncMISProcess) announce() *announceMsg {
 
 // Receive implements sim.Process.
 func (p *AsyncMISProcess) Receive(round int, msg sim.Message) {
-	if !p.awake {
-		return
-	}
-	if msg == nil || msg.From() == p.cfg.ID || p.joined || p.out == 0 {
+	if !p.awake || p.joined || p.out == 0 {
 		return
 	}
 	switch m := msg.(type) {
 	case *contenderMsg:
-		if !p.keepAsync(m.from, m.det) {
+		if m.from == p.cfg.ID || !p.keepAsync(m.from, m.det) {
 			return
 		}
 		p.restartEpoch(round)
 	case *announceMsg:
-		if !p.keepAsync(m.from, m.det) {
+		if m.from == p.cfg.ID || !p.keepAsync(m.from, m.det) {
 			return
 		}
 		p.misSet.Add(m.from)

@@ -312,14 +312,13 @@ func (p *MISProcess) keep(from int, label *detector.Set) bool {
 	}
 }
 
-// Receive implements sim.Process.
+// Receive implements sim.Process. Each case compares the concrete sender
+// field with the process's id, so the guard makes no interface call; a nil
+// message matches no case.
 func (p *MISProcess) Receive(round int, msg sim.Message) {
-	if msg == nil || msg.From() == p.cfg.ID {
-		return
-	}
 	switch m := msg.(type) {
 	case *contenderMsg:
-		if !p.keep(m.from, m.det) {
+		if m.from == p.cfg.ID || !p.keep(m.from, m.det) {
 			return
 		}
 		// A knocked-out process stays silent for the rest of the epoch.
@@ -327,7 +326,7 @@ func (p *MISProcess) Receive(round int, msg sim.Message) {
 			p.active = false
 		}
 	case *announceMsg:
-		if !p.keep(m.from, m.det) {
+		if m.from == p.cfg.ID || !p.keep(m.from, m.det) {
 			return
 		}
 		p.misSet.Add(m.from)

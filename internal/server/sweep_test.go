@@ -2,8 +2,12 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
+	"net/http/httptest"
+	"os"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
@@ -294,4 +298,147 @@ func streamSweepEvents(t *testing.T, url string) []SweepEvent {
 		t.Fatal("empty sweep event stream")
 	}
 	return events
+}
+
+// TestCancelSweepMidRunHTTP cancels a running sweep with DELETE
+// /v1/sweeps/{id}. The reply is the sweep view; every child ends cancelled,
+// or done if it finished before the cancel landed; the admission charge
+// drains to zero; the partial report covers the finished children; an
+// unknown id is a 404. A daemon restarted on the same data dir with the
+// full journal (the crash shape, not the compacted one a graceful close
+// leaves) must not re-run the cancelled children.
+func TestCancelSweepMidRunHTTP(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 1, DataDir: dir}
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	// 4000 trials per child keep the first child running, and one worker
+	// keeps the other three queued, when the cancel lands.
+	spec := scenario.SweepSpec{
+		Name: "cancel",
+		Base: quickSpec(4000, 11),
+		Axes: scenario.SweepAxes{
+			N:        &scenario.Axis{Values: []float64{32, 40}},
+			GrayProb: &scenario.Axis{Values: []float64{0.1, 0.3}},
+		},
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/sweeps", spec)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("sweep submit: status %d, body %s", resp.StatusCode, body)
+	}
+	var accepted SweepView
+	if err := json.Unmarshal(body, &accepted); err != nil {
+		t.Fatal(err)
+	}
+	sw, ok := svc.Sweep(accepted.ID)
+	if !ok {
+		t.Fatalf("sweep %s not registered", accepted.ID)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for sw.children[0].View(false).Completed == 0 {
+		if sw.children[0].Status().terminal() || time.Now().After(deadline) {
+			t.Fatalf("first child never ran a trial: %+v", sw.children[0].View(false))
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	del := func(url string) (int, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodDelete, url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		payload, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, payload
+	}
+	code, body := del(ts.URL + "/v1/sweeps/" + accepted.ID)
+	if code != http.StatusOK {
+		t.Fatalf("cancel: status %d, body %s", code, body)
+	}
+	var view SweepView
+	if err := json.Unmarshal(body, &view); err != nil {
+		t.Fatal(err)
+	}
+	if view.ID != accepted.ID || view.Total != 4 || len(view.Children) != 4 {
+		t.Fatalf("cancel reply is not the sweep view: %+v", view)
+	}
+
+	waitSweep(t, sw)
+	cancelled, done := 0, 0
+	for _, c := range sw.View(true).Children {
+		switch c.Status {
+		case StatusCancelled:
+			cancelled++
+		case StatusDone:
+			done++
+			if c.Completed != c.Total {
+				t.Fatalf("child %s done after %d of %d trials", c.ID, c.Completed, c.Total)
+			}
+		default:
+			t.Fatalf("child %s ended %q, want cancelled or done", c.ID, c.Status)
+		}
+	}
+	if cancelled == 0 {
+		t.Fatal("no child was cancelled")
+	}
+	for metricValue(t, ts.URL, "radiod_pending_cost") != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("admission cost never drained after the cancel")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	// The full report refuses the cancelled grid; the partial one covers
+	// exactly the children that finished.
+	reportURL := ts.URL + "/v1/sweeps/" + accepted.ID + "/report?format=csv"
+	if code, body := getText(t, reportURL); code != http.StatusConflict {
+		t.Fatalf("full report of a cancelled sweep: status %d, body %s", code, body)
+	}
+	resp, err = http.Get(reportURL + "&partial=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Complete-Children") != strconv.Itoa(done) ||
+		resp.Header.Get("X-Total-Children") != "4" {
+		t.Fatalf("partial report: status %d, %s of %s children, want %d of 4", resp.StatusCode,
+			resp.Header.Get("X-Complete-Children"), resp.Header.Get("X-Total-Children"), done)
+	}
+	if code, body := del(ts.URL + "/v1/sweeps/no-such-sweep"); code != http.StatusNotFound {
+		t.Fatalf("cancel of an unknown sweep: status %d, body %s", code, body)
+	}
+
+	full, err := os.ReadFile(journalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+	if err := os.WriteFile(journalPath(dir), full, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.Close()
+	if jobs, sweeps, dropped := replayGauges(svc2); jobs != 0 || sweeps != 0 || dropped != 0 {
+		t.Fatalf("restart replayed %d jobs and %d sweeps, dropped %d; want none", jobs, sweeps, dropped)
+	}
+	if _, ok := svc2.Sweep(accepted.ID); ok {
+		t.Fatal("the cancelled sweep was resumed after restart")
+	}
+	if got := len(svc2.queue); got != 0 {
+		t.Fatalf("%d jobs queued after restart", got)
+	}
 }

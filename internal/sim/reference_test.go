@@ -166,6 +166,26 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 	}
 }
 
+// roundTrace is one round as an Observer sees it: the broadcaster list, and
+// each delivery as the receiving node and the sender's id, in node order.
+type roundTrace struct {
+	round        int
+	broadcasters []int
+	deliveries   [][2]int
+}
+
+// traceObserver records every round it is shown, copying the slices the
+// engine reuses between rounds.
+type traceObserver struct{ rounds []roundTrace }
+
+func (o *traceObserver) OnRound(round int, broadcasters []int, delivered []sim.Delivery) {
+	rt := roundTrace{round: round, broadcasters: slices.Clone(broadcasters)}
+	for _, d := range delivered {
+		rt.deliveries = append(rt.deliveries, [2]int{d.To, d.Msg.From()})
+	}
+	o.rounds = append(o.rounds, rt)
+}
+
 // refExecution is the naive whole-execution reference for the exact engine:
 // the Section 2 round rule with no active set, wake calendar or hit list.
 // Every round it calls Broadcast on each process that is not done unless the
@@ -175,11 +195,13 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 // broadcasting G-neighbors, with the counted nodes in ascending order),
 // dispatches Receive to every silent process that is not done and is
 // reached by exactly one broadcaster, and then checks Done directly.
-// Reception counters tally every silent node a broadcaster reaches, done or
-// not. It stops where Runner.Run does (every process done, or maxRounds),
-// or, with untilDecided, where Runner.RunUntil(AllDecided) does.
+// Reception counters and the delivery list cover every silent node reached
+// by exactly one broadcaster, done or not. It stops where Runner.Run does
+// (every process done, or maxRounds), or, with untilDecided, where
+// Runner.RunUntil(AllDecided) does. It returns the outputs, the Stats, and
+// each round's broadcasters and deliveries as an Observer would see them.
 func refExecution(net *dualgraph.Network, adv adversary.Adversary, procs []sim.Process,
-	maxRounds int, untilDecided bool) ([]int, sim.Stats) {
+	maxRounds int, untilDecided bool) ([]int, sim.Stats, []roundTrace) {
 	n := net.N()
 	gray := net.GrayEdges()
 	done := make([]bool, n)
@@ -201,6 +223,7 @@ func refExecution(net *dualgraph.Network, adv adversary.Adversary, procs []sim.P
 		done[v] = p.Done()
 	}
 	st := sim.Stats{DecidedRound: -1}
+	var trace []roundTrace
 	for round := 0; round < maxRounds && !(untilDecided && decided()); round++ {
 		for v, p := range procs {
 			msgs[v], bcast[v] = nil, false
@@ -249,11 +272,13 @@ func refExecution(net *dualgraph.Network, adv adversary.Adversary, procs []sim.P
 			reach(e[0], e[1])
 			reach(e[1], e[0])
 		}
+		rt := roundTrace{round: round, broadcasters: broadcasters}
 		for v, p := range procs {
 			switch {
 			case bcast[v]: // a broadcaster hears only itself: no reception
 			case cnt[v] == 1:
 				st.Deliveries++
+				rt.deliveries = append(rt.deliveries, [2]int{v, msgs[from[v]].From()})
 				if !done[v] {
 					p.Receive(round, msgs[from[v]])
 				}
@@ -261,6 +286,7 @@ func refExecution(net *dualgraph.Network, adv adversary.Adversary, procs []sim.P
 				st.Collisions++
 			}
 		}
+		trace = append(trace, rt)
 		st.Rounds = round + 1
 		for v, p := range procs {
 			done[v] = done[v] || p.Done()
@@ -277,7 +303,7 @@ func refExecution(net *dualgraph.Network, adv adversary.Adversary, procs []sim.P
 	for v, p := range procs {
 		outs[v] = p.Output()
 	}
-	return outs, st
+	return outs, st, trace
 }
 
 // refAdversaries builds each adversary kind afresh per call, so the engine
@@ -361,12 +387,18 @@ func refFleets(t *testing.T, net *dualgraph.Network, seed uint64) []refFleet {
 }
 
 // runEngine executes procs on the optimized engine with MessageBits and a
-// fixed MaxRounds, the configuration refExecution mirrors.
+// fixed MaxRounds, the configuration refExecution mirrors. With observe it
+// attaches an Observer and returns the rounds it saw; otherwise the trace
+// is nil.
 func runEngine(t *testing.T, net *dualgraph.Network, adv adversary.Adversary, procs []sim.Process,
-	maxRounds int, untilDecided bool) ([]int, sim.Stats) {
+	maxRounds int, untilDecided, observe bool) ([]int, sim.Stats, []roundTrace) {
 	t.Helper()
-	r, err := sim.NewRunner(sim.Config{Net: net, Adversary: adv, Processes: procs,
-		MessageBits: 1 << 12, MaxRounds: maxRounds})
+	cfg := sim.Config{Net: net, Adversary: adv, Processes: procs, MessageBits: 1 << 12, MaxRounds: maxRounds}
+	var obs traceObserver
+	if observe {
+		cfg.Observer = &obs
+	}
+	r, err := sim.NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,29 +414,48 @@ func runEngine(t *testing.T, net *dualgraph.Network, adv adversary.Adversary, pr
 	for v, p := range procs {
 		outs[v] = p.Output()
 	}
-	return outs, r.Stats()
+	return outs, r.Stats(), obs.rounds
 }
 
-// assertMatchesReference runs one fleet through the engine and through
-// refExecution and requires identical outputs and Stats.
+// assertMatchesReference runs one fleet through refExecution and through
+// the engine twice, without and with an Observer attached. Both engine
+// runs must give the reference's outputs and Stats, and the observed run
+// must show the reference's broadcaster and delivery lists every round.
 func assertMatchesReference(t *testing.T, net *dualgraph.Network, f refFleet,
 	mkAdv func(*dualgraph.Network, uint64) adversary.Adversary, seed uint64) {
 	t.Helper()
-	gotOut, gotStats := runEngine(t, net, mkAdv(net, seed), f.build(t), f.maxRounds, f.untilDecided)
-	wantOut, wantStats := refExecution(net, mkAdv(net, seed), f.build(t), f.maxRounds, f.untilDecided)
-	if gotStats != wantStats {
-		t.Errorf("stats: engine %+v, reference %+v", gotStats, wantStats)
-	}
-	for v := range wantOut {
-		if gotOut[v] != wantOut[v] {
-			t.Fatalf("node %d: engine output %d, reference %d", v, gotOut[v], wantOut[v])
+	wantOut, wantStats, wantTrace := refExecution(net, mkAdv(net, seed), f.build(t), f.maxRounds, f.untilDecided)
+	for _, observe := range []bool{false, true} {
+		gotOut, gotStats, gotTrace := runEngine(t, net, mkAdv(net, seed), f.build(t), f.maxRounds, f.untilDecided, observe)
+		if gotStats != wantStats {
+			t.Errorf("observer %v: stats: engine %+v, reference %+v", observe, gotStats, wantStats)
+		}
+		for v := range wantOut {
+			if gotOut[v] != wantOut[v] {
+				t.Fatalf("observer %v: node %d: engine output %d, reference %d", observe, v, gotOut[v], wantOut[v])
+			}
+		}
+		if !observe {
+			continue
+		}
+		if len(gotTrace) != len(wantTrace) {
+			t.Fatalf("observer saw %d rounds, reference ran %d", len(gotTrace), len(wantTrace))
+		}
+		for i, w := range wantTrace {
+			g := gotTrace[i]
+			if g.round != w.round || !slices.Equal(g.broadcasters, w.broadcasters) || !slices.Equal(g.deliveries, w.deliveries) {
+				t.Fatalf("observed round %d: broadcasters %v, deliveries %v; reference round %d: %v, %v",
+					g.round, g.broadcasters, g.deliveries, w.round, w.broadcasters, w.deliveries)
+			}
 		}
 	}
 }
 
 // TestRunnerMatchesReference is the exact engine's whole-execution oracle:
 // every protocol under every adversary kind, on small random instances,
-// must produce the naive reference's outputs and every Stats field.
+// must produce the naive reference's outputs and every Stats field, with
+// and without an Observer, and the Observer must see the reference's
+// broadcaster and delivery lists.
 func TestRunnerMatchesReference(t *testing.T) {
 	const n = 48
 	for seed := uint64(1); seed <= 3; seed++ {

@@ -15,10 +15,11 @@
 //
 // Performance: the runner maintains an active set of processes that are not
 // yet Done, a wake calendar of sleeping processes, and a monotone undecided
-// scan pointer, and it dispatches Receive only for genuine receptions, so
-// each round costs O(runnable + hits) engine work rather than O(n);
-// per-round buffers (hit counters, broadcaster and delivery lists,
-// adversary reach slices) are reused across rounds.
+// scan pointer, so each round costs O(runnable + hits) engine work rather
+// than O(n). One walk over the hit nodes clears their counters, tallies
+// receptions without branching on them, and dispatches Receive only for
+// genuine receptions; per-round buffers (hit counters and list, broadcaster
+// and delivery lists, adversary reach slices) are reused across rounds.
 package sim
 
 import (
@@ -180,7 +181,7 @@ type Runner struct {
 	bcast []bool
 	cnt   []int32
 	from  []int32
-	// Reusable per-round buffers.
+	// Reusable per-round buffers; touched has n+1 slots (see hit).
 	touched []int32
 	bList   []int
 	dList   []Delivery
@@ -269,6 +270,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 		bcast:      make([]bool, n),
 		cnt:        make([]int32, n),
 		from:       make([]int32, n),
+		touched:    make([]int32, n+1),
 		active:     make([]int32, 0, n),
 		isActive:   make([]bool, n),
 		deadline:   make([]int, n),
@@ -449,38 +451,66 @@ func (r *Runner) Step() bool {
 	// and finally the activated gray edges are folded into the same hit
 	// counters.
 	g := r.cfg.Net.G()
+	nt := 0
 	for _, u := range r.bList {
 		for _, v := range g.Neighbors(u) {
-			r.hit(int(v), u)
+			nt = r.hit(nt, v, int32(u))
 		}
 	}
-	reach := r.adv.Reach(r.round, r.bcast, r.bList, r.cnt, r.touched)
+	reach := r.adv.Reach(r.round, r.bcast, r.bList, r.cnt, r.touched[:nt])
 	r.stats.GrayActivations += len(reach)
 	for _, idx := range reach {
 		e := r.gray[idx]
 		if r.bcast[e[0]] {
-			r.hit(e[1], e[0])
+			nt = r.hit(nt, int32(e[1]), int32(e[0]))
 		}
 		if r.bcast[e[1]] {
-			r.hit(e[0], e[1])
+			nt = r.hit(nt, int32(e[0]), int32(e[1]))
 		}
 	}
 
-	// Phase 4: record stats over the hit nodes, then deliver each genuine
-	// reception.
-	r.recordReceptions()
-	r.deliver()
-
+	// Phase 4: one walk over the hit nodes clears their counters, tallies
+	// receptions (done processes count too) and calls Receive for each
+	// genuine one. Observers get deliveries in node order: sort first.
+	hits := r.touched[:nt]
+	if r.cfg.Observer != nil {
+		slices.Sort(hits)
+		r.dList = r.dList[:0]
+	}
+	deliveries, collisions := 0, 0
+	for _, v := range hits {
+		c := r.cnt[v]
+		r.cnt[v] = 0
+		// Flags, not branches; c >= 1, so a silent non-delivery collided.
+		silent, single := 1, 0
+		if r.bcast[v] {
+			silent = 0
+		}
+		if c == 1 {
+			single = 1
+		}
+		d := silent & single
+		deliveries += d
+		collisions += silent - d
+		if d == 0 {
+			continue
+		}
+		m := r.msgs[r.from[v]]
+		if r.cfg.Observer != nil {
+			r.dList = append(r.dList, Delivery{To: int(v), Msg: m})
+		}
+		if r.isActive[v] {
+			r.cfg.Processes[v].Receive(r.round, m)
+		}
+	}
+	r.stats.Deliveries += deliveries
+	r.stats.Collisions += collisions
 	if r.cfg.Observer != nil {
 		r.cfg.Observer.OnRound(r.round, r.bList, r.dList)
 	}
 
-	// Bookkeeping: reset hit counters, advance the clock, then sweep the
-	// active set for new decisions and completed processes.
-	for _, v := range r.touched {
-		r.cnt[v] = 0
-	}
-	r.touched = r.touched[:0]
+	// Bookkeeping: advance the clock, then sweep the active set for new
+	// decisions and completed processes.
 	r.round++
 	r.stats.Rounds = r.round
 
@@ -592,53 +622,16 @@ func (r *Runner) broadcast(v int) Message {
 	return m
 }
 
-// deliver calls Receive for every genuine reception of the round: a silent,
-// active process reached by exactly one broadcaster. ⊥ and a broadcaster's
-// own echo are never dispatched (see Process.Receive), so the loop walks the
-// hit nodes rather than the active set. Stats were already recorded (see
-// recordReceptions).
-func (r *Runner) deliver() {
-	for _, v := range r.touched {
-		if !r.bcast[v] && r.cnt[v] == 1 && r.isActive[v] {
-			r.cfg.Processes[v].Receive(r.round, r.msgs[r.from[v]])
-		}
-	}
-}
-
-func (r *Runner) hit(v, from int) {
+// hit counts one broadcaster reaching v. touched has a slot past every node, so
+// v is written unconditionally and nt advances only on v's first hit (a CMOV).
+func (r *Runner) hit(nt int, v, from int32) int {
+	r.touched[nt] = v
 	if r.cnt[v] == 0 {
-		r.touched = append(r.touched, int32(v))
+		nt++
 	}
 	r.cnt[v]++
-	r.from[v] = int32(from)
-}
-
-// recordReceptions updates the delivery/collision counters and, when an
-// observer is attached, the delivery list. Only nodes hit this round are
-// visited; the list is sorted so observers see deliveries in node order,
-// exactly as the previous full-scan engine produced them.
-func (r *Runner) recordReceptions() {
-	r.dList = r.dList[:0]
-	if len(r.touched) == 0 {
-		return
-	}
-	if r.cfg.Observer != nil {
-		slices.Sort(r.touched)
-	}
-	for _, v := range r.touched {
-		if r.bcast[v] {
-			continue
-		}
-		switch {
-		case r.cnt[v] == 1:
-			r.stats.Deliveries++
-			if r.cfg.Observer != nil {
-				r.dList = append(r.dList, Delivery{To: int(v), Msg: r.msgs[r.from[v]]})
-			}
-		case r.cnt[v] > 1:
-			r.stats.Collisions++
-		}
-	}
+	r.from[v] = from
+	return nt
 }
 
 // Run executes rounds until the execution finishes and returns the stats.
