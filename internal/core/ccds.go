@@ -180,6 +180,14 @@ type CCDSProcess struct {
 	stopMsg     *stopMsg
 	pendingMsgs []*bannedChunkMsg
 
+	// detIDs lists the detector set once (see detectorIDs); respMIS and
+	// respChunks hold the phase-3 response content until masters[0] or
+	// its primary replica changes (see responseChunks). Relays retain the
+	// chunks, so neither slice may be modified or appended to.
+	detIDs     []int
+	respMIS    int
+	respChunks [][]int
+
 	// arena recycles short-lived outgoing messages under the leap engine;
 	// nil under the exact engine (see leapMsgs).
 	arena *leapMsgs
@@ -372,7 +380,7 @@ func (p *CCDSProcess) startDecay() {
 // present in its replica of master u's banned list.
 func (p *CCDSProcess) nominationFor(u int) (int, bool) {
 	rep := p.replica[u]
-	for _, w := range p.cfg.Detector.IDs() {
+	for _, w := range p.detectorIDs() {
 		if !rep.Contains(w) {
 			return w, true
 		}
@@ -380,7 +388,19 @@ func (p *CCDSProcess) nominationFor(u int) (int, bool) {
 	return 0, false
 }
 
-// chunkify splits ids into chunks of at most capIDs entries.
+// detectorIDs returns the detector set's ids in ascending order, listed
+// once per process: the set is never modified. The slice is shared by
+// every caller, who must copy it before appending.
+func (p *CCDSProcess) detectorIDs() []int {
+	if p.detIDs == nil {
+		p.detIDs = p.cfg.Detector.IDs()
+	}
+	return p.detIDs
+}
+
+// chunkify sorts ids in place and splits them into chunks of at most
+// capIDs entries. Each chunk's capacity ends at its length, so appending
+// to one never overwrites the next.
 func chunkify(ids []int, capIDs int) [][]int {
 	if len(ids) == 0 {
 		return nil
@@ -392,7 +412,7 @@ func chunkify(ids []int, capIDs int) [][]int {
 		if k > len(ids) {
 			k = len(ids)
 		}
-		out = append(out, ids[:k])
+		out = append(out, ids[:k:k])
 		ids = ids[k:]
 	}
 	return out
@@ -660,34 +680,37 @@ func (p *CCDSProcess) buildQuery() sim.Message {
 	return newQuery(p.cfg.N, p.cfg.ID, entries)
 }
 
-// responseContent returns the MIS id and the id set this explored process
-// reports: itself and its neighborhood when it is in the MIS, otherwise its
-// lowest-id MIS neighbor x together with the learned replica of x's
-// neighborhood (P^w_x).
-func (p *CCDSProcess) responseContent() (int, []int, bool) {
+// responseChunks returns the MIS id and the chunked id set this explored
+// process reports: itself and its neighborhood when it is in the MIS,
+// otherwise its lowest-id MIS neighbor x together with the learned replica
+// of x's neighborhood (P^w_x). A covered process chunks its answer once
+// and again only when onBannedChunk changes x or P^w_x, instead of on
+// every respond round.
+func (p *CCDSProcess) responseChunks() (int, [][]int, bool) {
 	if p.inMIS {
 		// Unreachable in practice (an MIS process is always in banned
-		// lists and never explored) but kept for safety.
-		return p.cfg.ID, append(p.cfg.Detector.IDs(), p.cfg.ID), true
+		// lists and never explored) but kept for safety. The detector
+		// ids are shared, so the appended copy is a fresh slice.
+		ids := append(append(make([]int, 0, len(p.detectorIDs())+1), p.detectorIDs()...), p.cfg.ID)
+		return p.cfg.ID, chunkify(ids, p.sched.capIDs), true
 	}
 	if len(p.masters) == 0 {
 		return 0, nil, false
 	}
-	x := p.masters[0]
-	ids := p.primary[x].Clone()
-	ids.Add(x)
-	return x, ids.IDs(), true
+	if p.respChunks == nil {
+		x := p.masters[0]
+		ids := p.primary[x].Clone()
+		ids.Add(x)
+		p.respMIS, p.respChunks = x, chunkify(ids.IDs(), p.sched.capIDs)
+	}
+	return p.respMIS, p.respChunks, true
 }
 
 // buildRespond emits chunk seq of the exploration answer for every querying
 // origin that fits in b bits.
 func (p *CCDSProcess) buildRespond(seq int) sim.Message {
-	misID, ids, ok := p.responseContent()
-	if !ok {
-		return nil
-	}
-	chunks := chunkify(ids, p.sched.capIDs)
-	if seq >= len(chunks) {
+	misID, chunks, ok := p.responseChunks()
+	if !ok || seq >= len(chunks) {
 		return nil
 	}
 	var entries []respondEntry
@@ -777,6 +800,7 @@ func (p *CCDSProcess) onBannedChunk(round int, m *bannedChunkMsg) {
 		p.masters = append(p.masters, m.from)
 		sort.Ints(p.masters)
 		p.isMaster.Add(m.from)
+		p.respChunks = nil
 	}
 	for _, id := range m.IDs {
 		rep.Add(id)
@@ -785,6 +809,9 @@ func (p *CCDSProcess) onBannedChunk(round int, m *bannedChunkMsg) {
 	if epoch, _, _ := p.sched.locate(t); epoch == 0 {
 		for _, id := range m.IDs {
 			p.primary[m.from].Add(id)
+		}
+		if m.from == p.masters[0] {
+			p.respChunks = nil
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"dualradio/internal/detector"
@@ -192,5 +193,43 @@ func TestCCDSDiscoveriesWithinThreeHops(t *testing.T) {
 				t.Errorf("discovered id %d is not an MIS process", id)
 			}
 		}
+	}
+}
+
+// TestCCDSResponseTracksMasters checks the covered process's cached
+// exploration answer: it is its lowest-id master x with the primary replica
+// P_x, rebuilt when a banned chunk grows P_x in epoch 0 or adopts a new
+// lower-id master later, and the detector id list it shares stays intact.
+func TestCCDSResponseTracksMasters(t *testing.T) {
+	const n = 16
+	det := detector.SetOf(n, 3, 5, 9)
+	p := ccdsProc(t, CCDSConfig{ID: 7, N: n, Delta: 4, B: 512, Detector: det,
+		Params: DefaultParams(), Rng: rand.New(rand.NewPCG(1, 2))})
+	p.mis.misSet.Add(9) // the MIS outcome: covered, with master 9
+	p.initSearch()
+	epoch0 := p.sched.mis.total
+	epoch1 := epoch0 + p.sched.epochLen
+	check := func(step string, wantMIS int, wantIDs []int) {
+		t.Helper()
+		mis, chunks, ok := p.responseChunks()
+		var got []int
+		for _, c := range chunks {
+			got = append(got, c...)
+		}
+		if !ok || mis != wantMIS || !slices.Equal(got, wantIDs) {
+			t.Fatalf("%s: response (%d, %v, %v), want (%d, %v)", step, mis, got, ok, wantMIS, wantIDs)
+		}
+	}
+	p.onBannedChunk(epoch0, newBannedChunk(n, 9, 0, []int{1, 2, 9}, nil))
+	check("first chunk", 9, []int{1, 2, 9})
+	p.onBannedChunk(epoch0+1, newBannedChunk(n, 9, 1, []int{4}, nil))
+	check("P_x grew in epoch 0", 9, []int{1, 2, 4, 9})
+	p.onBannedChunk(epoch1, newBannedChunk(n, 3, 0, []int{3, 6}, nil))
+	check("lower-id master adopted", 3, []int{3})
+	if id, ok := p.nominationFor(9); !ok || id != 3 {
+		t.Fatalf("nominationFor(9) = (%d, %v), want (3, true)", id, ok)
+	}
+	if got := p.detectorIDs(); !slices.Equal(got, []int{3, 5, 9}) {
+		t.Fatalf("detector ids %v, want [3 5 9]", got)
 	}
 }

@@ -93,6 +93,7 @@ func (n *Network) DeltaPrime() int { return n.gPrime.MaxDegree() }
 // modified.
 func (n *Network) GrayEdges() [][2]int {
 	n.grayOnce.Do(func() {
+		n.gray = make([][2]int, 0, n.gPrime.M()-n.g.M())
 		n.gPrime.Edges(func(u, v int) {
 			if !n.g.HasEdge(u, v) {
 				n.gray = append(n.gray, [2]int{u, v})

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dualradio/internal/expr"
+	"dualradio/internal/harness"
 )
 
 // quickDigest is the sha256 of `go run ./cmd/experiments -quick`'s output:
@@ -58,6 +59,28 @@ func TestAllExperimentsRun(t *testing.T) {
 	if got := hex.EncodeToString(h.Sum(nil)); got != quickDigest {
 		t.Errorf("experiments -quick digest = %s, want %s", got, quickDigest)
 	}
+}
+
+// TestQuickSuiteReusesInstances checks that the quick suite's instance
+// working set fits the instance memo's byte budget: once one pass has run,
+// a second pass in the same process builds no instance.
+func TestQuickSuiteReusesInstances(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full sweep")
+	}
+	if _, err := expr.All(expr.QuickConfig()); err != nil {
+		t.Fatalf("first pass: %v", err)
+	}
+	before := harness.InstanceCache()
+	if _, err := expr.All(expr.QuickConfig()); err != nil {
+		t.Fatalf("second pass: %v", err)
+	}
+	after := harness.InstanceCache()
+	if after.Builds != before.Builds {
+		t.Fatalf("second pass built %d instances (%d resident, %d of %d bytes)",
+			after.Builds-before.Builds, after.Entries, after.Bytes, harness.InstanceCacheBudget)
+	}
+	t.Logf("%d instances resident, %d bytes", after.Entries, after.Bytes)
 }
 
 func TestConfigs(t *testing.T) {

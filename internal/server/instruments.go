@@ -4,6 +4,7 @@ import (
 	"errors"
 	"time"
 
+	"dualradio/internal/harness"
 	"dualradio/internal/metrics"
 	"dualradio/internal/scenario"
 )
@@ -110,6 +111,10 @@ func (s *Server) registerBaseGauges() {
 	r.Gauge("radiod_max_pending_cost", "Admission cost budget.").Set(float64(s.cfg.MaxPendingCost))
 	r.GaugeFunc("radiod_metrics_dropped_series", "Instrument acquisitions collapsed onto overflow series by the cardinality cap.",
 		func() float64 { return float64(r.DroppedSeries()) })
+	r.GaugeFunc("radiod_instance_cache_bytes", "Bytes of network instances resident in the process-wide instance memo (at most its fixed budget).",
+		func() float64 { return float64(harness.InstanceCache().Bytes) })
+	r.GaugeFunc("radiod_instance_cache_entries", "Network instances resident in the process-wide instance memo, built or building.",
+		func() float64 { return float64(harness.InstanceCache().Entries) })
 
 	r.OnCollect(func() {
 		s.mu.Lock()

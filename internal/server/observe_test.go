@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"dualradio/internal/harness"
 	"dualradio/internal/metrics"
 )
 
@@ -94,6 +96,39 @@ func TestMetricsExpositionLints(t *testing.T) {
 	// The cache counters moved: the resubmission and the sweep recheck hit.
 	if !strings.Contains(body, "radiod_cache_hits_total") {
 		t.Fatal("no cache-hit counter after a cached resubmission")
+	}
+}
+
+// TestInstanceCacheGauges: after a sweep has run, /metrics reports the
+// instance memo it drew its networks from — some instances resident, and
+// their bytes positive and within the memo's budget.
+func TestInstanceCacheGauges(t *testing.T) {
+	svc, ts := newTestServer(t, Config{Workers: 2})
+	sw, err := svc.SubmitSweep(quickSweep(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitSweep(t, sw)
+	_, body := getText(t, ts.URL+"/metrics")
+	gauge := func(name string) float64 {
+		t.Helper()
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("exposition lacks %s:\n%s", name, body)
+		return 0
+	}
+	if b := gauge("radiod_instance_cache_bytes"); b <= 0 || b > harness.InstanceCacheBudget {
+		t.Errorf("radiod_instance_cache_bytes = %v, want in (0, %d]", b, harness.InstanceCacheBudget)
+	}
+	if e := gauge("radiod_instance_cache_entries"); e < 1 {
+		t.Errorf("radiod_instance_cache_entries = %v, want >= 1", e)
 	}
 }
 

@@ -20,6 +20,11 @@
 // receptions without branching on them, and dispatches Receive only for
 // genuine receptions; per-round buffers (hit counters and list, broadcaster
 // and delivery lists, adversary reach slices) are reused across rounds.
+// Retirement follows the same bound: Done can flip only inside Broadcast or
+// Receive, so after a round only its driven processes and receivers are
+// checked, and the active set is a flag per node plus a count, with no list
+// to compact. A fleet sharing one fixed schedule length skips even that: it
+// retires all at once, at the shared final round.
 package sim
 
 import (
@@ -47,7 +52,9 @@ type Message interface {
 //
 // Once Done reports true the engine stops driving the process: neither
 // Broadcast nor Receive is called again (a done process never broadcasts by
-// contract, and its outputs are frozen).
+// contract, and its outputs are frozen). Done may flip only inside a
+// Broadcast or Receive call: the engine checks it only for the processes it
+// drove or delivered to in the round just executed.
 //
 // A process whose protocol has a fixed total length may additionally expose
 // a `Rounds() int` method. The engine then treats the process as done once
@@ -181,16 +188,19 @@ type Runner struct {
 	bcast []bool
 	cnt   []int32
 	from  []int32
-	// Reusable per-round buffers; touched has n+1 slots (see hit).
+	// Reusable per-round buffers; touched has n+1 slots (see hit). recv
+	// lists the round's active receivers when retirement is checked per
+	// process (uniformDeadline < 0).
 	touched []int32
 	bList   []int
 	dList   []Delivery
-	// Active-set bookkeeping: the not-yet-Done processes in ascending node
-	// order. deadline[v] >= 0 caches a fixed-length process's total round
-	// count, so completion is an integer compare instead of an interface
-	// call; -1 falls back to querying Done each round. firstUndecided is
-	// the monotone scan pointer behind AllDecided.
-	active         []int32
+	recv    []int32
+	// Active-set bookkeeping: isActive marks the not-yet-Done processes
+	// and nActive counts them. deadline[v] >= 0 caches a fixed-length
+	// process's total round count, so completion is an integer compare
+	// instead of an interface call; -1 falls back to querying Done.
+	// firstUndecided is the monotone scan pointer behind AllDecided.
+	nActive        int
 	isActive       []bool
 	deadline       []int
 	firstUndecided int
@@ -202,7 +212,9 @@ type Runner struct {
 	// Wake calendar: runnable is the awake subset of active (ascending);
 	// sleeping processes sit in a min-heap of (wakeRound, node) pairs and
 	// are merged back when their round arrives, so a round's broadcast
-	// loop costs O(runnable) rather than O(active).
+	// loop costs O(runnable) rather than O(active). scratch holds a
+	// merge's woken nodes and, after them, the merged list: 2n slots, so
+	// neither ever reallocates.
 	runnable []int32
 	wakeHeap []int64
 	scratch  []int32
@@ -271,7 +283,8 @@ func NewRunner(cfg Config) (*Runner, error) {
 		cnt:        make([]int32, n),
 		from:       make([]int32, n),
 		touched:    make([]int32, n+1),
-		active:     make([]int32, 0, n),
+		runnable:   make([]int32, 0, n),
+		scratch:    make([]int32, 0, 2*n),
 		isActive:   make([]bool, n),
 		deadline:   make([]int, n),
 		sleepUntil: make([]int, n),
@@ -299,11 +312,11 @@ func NewRunner(cfg Config) (*Runner, error) {
 			}
 		}
 		if !p.Done() {
-			r.active = append(r.active, int32(v))
+			r.runnable = append(r.runnable, int32(v))
 			r.isActive[v] = true
 		}
 	}
-	r.runnable = append(r.runnable, r.active...)
+	r.nActive = len(r.runnable)
 	r.stats.DecidedRound = -1
 	return r, nil
 }
@@ -478,6 +491,7 @@ func (r *Runner) Step() bool {
 		r.dList = r.dList[:0]
 	}
 	deliveries, collisions := 0, 0
+	trackRecv := r.uniformDeadline < 0
 	for _, v := range hits {
 		c := r.cnt[v]
 		r.cnt[v] = 0
@@ -501,6 +515,9 @@ func (r *Runner) Step() bool {
 		}
 		if r.isActive[v] {
 			r.cfg.Processes[v].Receive(r.round, m)
+			if trackRecv {
+				r.recv = append(r.recv, v)
+			}
 		}
 	}
 	r.stats.Deliveries += deliveries
@@ -509,8 +526,7 @@ func (r *Runner) Step() bool {
 		r.cfg.Observer.OnRound(r.round, r.bList, r.dList)
 	}
 
-	// Bookkeeping: advance the clock, then sweep the active set for new
-	// decisions and completed processes.
+	// Bookkeeping: advance the clock, then retire completed processes.
 	r.round++
 	r.stats.Rounds = r.round
 
@@ -518,45 +534,58 @@ func (r *Runner) Step() bool {
 		// Homogeneous fixed-length fleet: nobody completes before the
 		// shared final round, and everybody completes at it.
 		if r.round > r.uniformDeadline {
-			for _, v := range r.active {
-				r.bcast[v] = false
-				r.msgs[v] = nil
-				r.isActive[v] = false
+			for v, active := range r.isActive {
+				if active {
+					r.retire(int32(v))
+				}
 			}
-			r.active = r.active[:0]
 		}
 	} else {
-		na := r.active[:0]
-		for _, v := range r.active {
-			if d := r.deadline[v]; d >= 0 {
-				// Fixed-length protocol: done exactly once round
-				// d has been driven (r.round already points past
-				// it).
-				if r.round <= d {
-					na = append(na, v)
-					continue
-				}
-			} else if !r.cfg.Processes[v].Done() {
-				na = append(na, v)
-				continue
-			}
-			// Clear per-node state so stale flags cannot leak into
-			// later rounds' reach or delivery computations.
-			r.bcast[v] = false
-			r.msgs[v] = nil
-			r.isActive[v] = false
-		}
-		r.active = na
+		r.retireTouched()
 	}
 
 	if r.stats.DecidedRound < 0 && r.AllDecided() {
 		r.stats.DecidedRound = r.round
 	}
-	if len(r.active) == 0 {
+	if r.nActive == 0 {
 		r.stats.AllDone = true
 		return false
 	}
 	return true
+}
+
+// retireTouched retires the processes the round just executed completed.
+// Done flips only inside Broadcast or Receive, so the candidates are the
+// processes driven this round (the runnable list collectBroadcasts left)
+// and the receivers Step recorded.
+func (r *Runner) retireTouched() {
+	for _, list := range [2][]int32{r.runnable, r.recv} {
+		for _, v := range list {
+			if !r.isActive[v] {
+				continue
+			}
+			if d := r.deadline[v]; d >= 0 {
+				// Fixed-length protocol: done exactly once round d
+				// has been driven (r.round already points past it).
+				if r.round <= d {
+					continue
+				}
+			} else if !r.cfg.Processes[v].Done() {
+				continue
+			}
+			r.retire(v)
+		}
+	}
+	r.recv = r.recv[:0]
+}
+
+// retire marks v done and clears its per-node state so stale flags cannot
+// leak into later rounds' reach or delivery computations.
+func (r *Runner) retire(v int32) {
+	r.bcast[v] = false
+	r.msgs[v] = nil
+	r.isActive[v] = false
+	r.nActive--
 }
 
 // collectBroadcasts drives Broadcast on every runnable process, parking the

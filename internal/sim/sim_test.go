@@ -232,6 +232,67 @@ func TestMessageSizeEnforced(t *testing.T) {
 }
 
 // TestMaxRoundsCap: executions stop at the round cap.
+// retireProc has no fixed length: a sender broadcasts in round 1 and is
+// done from inside that Broadcast; a listener sleeps indefinitely from
+// round 0 and is done from inside its first Receive. Any call after done
+// is counted.
+type retireProc struct {
+	id, sender int
+	done       bool
+	late       int
+}
+
+func (p *retireProc) Broadcast(round int) (sim.Message, int) {
+	if p.done {
+		p.late++
+	}
+	switch {
+	case p.sender == 0:
+		return nil, 1 << 30
+	case round == 1:
+		p.done = true
+		return testMsg{from: p.id, bits: 8}, round + 1
+	}
+	return nil, round + 1
+}
+func (p *retireProc) Receive(int, sim.Message) {
+	if p.done {
+		p.late++
+	}
+	p.done = true
+}
+func (p *retireProc) Output() int { return 0 }
+func (p *retireProc) Done() bool  { return p.done }
+
+// TestRetireWhereDoneFlips checks that the engine retires a process in the
+// round its Done flips, whether the flip happens inside Broadcast or inside
+// Receive while the process sleeps, and never drives it afterwards: on the
+// line 0-1-2-3 the ends broadcast once, in round 1, and the sleeping
+// middles each hear one of them, so every process is done after round 1.
+func TestRetireWhereDoneFlips(t *testing.T) {
+	procs := []*retireProc{{id: 1, sender: 1}, {id: 2}, {id: 3}, {id: 4, sender: 1}}
+	ps := make([]sim.Process, len(procs))
+	for i, p := range procs {
+		ps[i] = p
+	}
+	r, err := sim.NewRunner(sim.Config{Net: lineNet(t), Processes: ps, MaxRounds: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.AllDone || st.Rounds != 2 || st.Deliveries != 2 {
+		t.Fatalf("stats %+v, want AllDone after 2 rounds with 2 deliveries", st)
+	}
+	for _, p := range procs {
+		if !p.done || p.late != 0 {
+			t.Errorf("process %d: done %v, %d calls after done", p.id, p.done, p.late)
+		}
+	}
+}
+
 func TestMaxRoundsCap(t *testing.T) {
 	net := lineNet(t)
 	procs := make([]sim.Process, 4)

@@ -5,8 +5,9 @@
 #      twice: the first run simulates, the identical resubmission must be
 #      served from the result cache.
 #   2. Lint the /metrics exposition with cmd/promlint: strict format
-#      (HELP/TYPE, escapes, no duplicates, coherent cumulative histograms)
-#      and at least three histogram families.
+#      (HELP/TYPE, escapes, no duplicates, coherent cumulative histograms),
+#      at least three histogram families, and the instance-memo gauges
+#      (the preset's instances are resident).
 #   3. Assert the cache hit/miss counters moved, the latency histograms
 #      observed the run (positive counts and sums), and the job's phase
 #      breakdown is monotone (each phase >= 0, parts sum <= total).
@@ -55,8 +56,8 @@ poll "second job completion" 30 job_done "$J2"
 curl -sf "$BASE/v1/jobs/$J2" | grep -q '"cached": true' \
 	|| { echo "FAIL: identical resubmission was not cache-served" >&2; exit 1; }
 
-# Strict exposition lint: format, >=3 histogram families, and the specific
-# latency histograms this PR promises.
+# Strict exposition lint: format, >=3 histogram families, the latency
+# histograms, and the instance-memo gauges.
 METRICS="$WORK/metrics.txt"
 curl -sf "$BASE/metrics" >"$METRICS"
 "$WORK/promlint" -min-histograms 3 \
@@ -65,6 +66,8 @@ curl -sf "$BASE/metrics" >"$METRICS"
 	-require '^radiod_job_duration_seconds_sum' \
 	-require '^radiod_journal_append_seconds_count [1-9]' \
 	-require '^radiod_store_put_seconds_count [1-9]' \
+	-require '^radiod_instance_cache_bytes [1-9]' \
+	-require '^radiod_instance_cache_entries [1-9]' \
 	"$METRICS" \
 	|| { echo "FAIL: /metrics fails lint" >&2; cat "$METRICS" >&2; exit 1; }
 
