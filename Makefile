@@ -29,13 +29,15 @@ detvet:
 # fuzz-smoke runs the fuzzers briefly — long enough to replay the corpus
 # and shake the mutator, short enough for CI: the spec-canonicalization
 # fuzzer, the exact-vs-leap differential engine harness, the exact engine
-# against the naive whole-execution reference, and hostile POST bodies
-# against the job and sweep submission endpoints.
+# against the naive whole-execution reference, hostile POST bodies against
+# the job and sweep submission endpoints, and hostile journals replayed by
+# a booting server.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSpecCanonicalization -fuzztime 30s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzLeapDifferential -fuzztime 30s ./internal/harness
 	$(GO) test -run '^$$' -fuzz FuzzRunnerMatchesReference -fuzztime 30s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzSubmitBodies -fuzztime 30s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 30s ./internal/server
 
 # bench-smoke runs every package benchmark once (about 10 s), so the
 # benchmarks keep running instead of only compiling under go test ./...

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -263,5 +264,104 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics output lacks %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestFleetFailRetriesTransient drives fleetBackend.Fail, the path a
+// worker's error report takes. A transient failure with retry budget left
+// sends the job back to the queue, and it is leased again as the next
+// attempt; once the budget is spent, a transient failure fails the job. A
+// permanent failure fails its job at once, and a report for an unknown job
+// changes nothing.
+func TestFleetFailRetriesTransient(t *testing.T) {
+	svc, _ := newTestServer(t, Config{
+		Workers: -1, MaxRetries: 1, Fleet: fleetCfg(),
+		RetryBackoff: time.Millisecond, RetryMaxBackoff: time.Millisecond,
+	})
+	be := fleetBackend{svc}
+	flaky, err := svc.Submit(quickSpec(1, 96))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unit := be.Next("w1", "l1"); unit == nil || unit.Job != flaky.id || unit.Attempt != 0 {
+		t.Fatalf("first lease %+v, want job %s attempt 0", unit, flaky.id)
+	}
+	be.Fail(flaky.id, "worker flake", true)
+	deadline := time.Now().Add(10 * time.Second)
+	unit := be.Next("w1", "l2")
+	for unit == nil {
+		if time.Now().After(deadline) {
+			t.Fatalf("transiently failed job never re-entered the queue: %+v", flaky.View(false))
+		}
+		time.Sleep(time.Millisecond)
+		unit = be.Next("w1", "l2")
+	}
+	if unit.Job != flaky.id || unit.Attempt != 1 {
+		t.Fatalf("retry lease %+v, want job %s attempt 1", unit, flaky.id)
+	}
+	be.Fail(flaky.id, "worker flake again", true)
+	if v := flaky.View(false); v.Status != StatusFailed || v.Attempt != 1 || v.Error != "worker flake again" {
+		t.Fatalf("job after its retry budget: %+v, want failed at attempt 1", v)
+	}
+	events, _, _ := flaky.eventsSince(0)
+	var retries []Event
+	for _, e := range events {
+		if e.Type == "retry" {
+			retries = append(retries, e)
+		}
+	}
+	if len(retries) != 1 || retries[0].Attempt != 1 || retries[0].Error != "worker flake" {
+		t.Fatalf("retry events %+v, want one for attempt 1 carrying the worker's error", retries)
+	}
+
+	broken, err := svc.Submit(quickSpec(1, 97))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unit := be.Next("w1", "l3"); unit == nil || unit.Job != broken.id {
+		t.Fatalf("lease %+v, want job %s", unit, broken.id)
+	}
+	be.Fail(broken.id, "bad input on worker", false)
+	if v := broken.View(false); v.Status != StatusFailed || v.Attempt != 0 || v.Error != "bad input on worker" {
+		t.Fatalf("permanently failed job: %+v, want failed at attempt 0", v)
+	}
+	be.Fail("j999999", "late report", true)
+	if n := len(svc.Jobs()); n != 2 {
+		t.Fatalf("%d jobs registered after a report for an unknown job, want 2", n)
+	}
+}
+
+// TestFleetViewHTTP reads GET /v1/fleet while a worker holds a lease: the
+// worker's row names the leased job, and the counters agree.
+func TestFleetViewHTTP(t *testing.T) {
+	svc, ts := newTestServer(t, Config{Workers: -1, Fleet: fleetCfg()})
+	stall, err := faultinject.New(faultinject.Spec{Rules: []faultinject.Rule{
+		{Kind: faultinject.KindTrialDelay, DelayMS: 120000},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	startWorker(t, ts.URL, "w1", stall)
+	job, err := svc.Submit(quickSpec(1, 98))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for svc.fleet.Snapshot().Counters.LeasesActive == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("w1 never leased the job")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	code, view := getJSON[fleet.View](t, ts.URL+"/v1/fleet")
+	if code != http.StatusOK || len(view.Workers) != 1 {
+		t.Fatalf("GET /v1/fleet: status %d, %+v", code, view)
+	}
+	w := view.Workers[0]
+	if w.ID == "" || w.Name != "w1" || !w.Live || w.ActiveLeases != 1 || !reflect.DeepEqual(w.Jobs, []string{job.id}) {
+		t.Fatalf("worker row %+v, want live w1 leasing %s", w, job.id)
+	}
+	if c := view.Counters; c.WorkersLive != 1 || c.LeasesActive != 1 || c.LeasesGranted != 1 || c.Completed != 0 || c.Failed != 0 {
+		t.Fatalf("fleet counters %+v, want one live worker holding the one lease granted", c)
 	}
 }

@@ -92,7 +92,7 @@ func presetLabel(spec scenario.Spec) string {
 // radiod_fleet_worker_*_total.
 func (s *Server) registerBaseGauges() {
 	r := s.metrics
-	jobs := r.Gauge("radiod_jobs", "Registered jobs (live plus retained terminal).")
+	jobs := r.Gauge("radiod_jobs", "Registered jobs (live plus retained terminal): every job resident in memory, since a sweep keeps only a record per finished child.")
 	sweeps := r.Gauge("radiod_sweeps", "Registered sweeps.")
 	queued := r.Gauge("radiod_queued", "Jobs waiting in the queue.")
 	cacheLen := r.Gauge("radiod_cache_len", "Resident result-cache entries.")

@@ -80,14 +80,20 @@ func acceptRecord(j *Job) journalRecord {
 	return journalRecord{Op: opAccept, ID: j.id, Spec: spec}
 }
 
+// maxIDSuffix bounds the id suffixes replay resumes allocation past. No
+// daemon allocates that many ids; a larger suffix comes from a corrupt
+// journal, and allocating past it could overflow.
+const maxIDSuffix = 1 << 40
+
 // idSuffix returns the numeric suffix of a j%06d / s%06d id (0 if
-// malformed), for resuming id allocation past everything the journal saw.
+// malformed or above maxIDSuffix), for resuming id allocation past
+// everything the journal saw.
 func idSuffix(id string) int {
 	if len(id) < 2 {
 		return 0
 	}
 	n, err := strconv.Atoi(id[1:])
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || n > maxIDSuffix {
 		return 0
 	}
 	return n
@@ -119,6 +125,7 @@ func (s *Server) replayJournal() error {
 	// Pass 1: index the records. Terminal records may precede their accept
 	// records in the log (a cache hit journals its terminal transition
 	// inside the admission critical section), so replay never assumes order.
+	// A duplicated accept or sweep record keeps its first occurrence.
 	var (
 		acceptOrder []string
 		accepts     = make(map[string]json.RawMessage)
@@ -126,6 +133,10 @@ func (s *Server) replayJournal() error {
 		sweepOrder  []string
 		sweepRecs   = make(map[string]journalRecord)
 		sweepChild  = make(map[string]bool)
+		// lastJob and lastSweep are the largest id suffixes any record
+		// names, terminal or not: id allocation resumes past them, so new
+		// submissions never reuse a pre-crash id.
+		lastJob, lastSweep int
 	)
 	for _, line := range lines {
 		var rec journalRecord
@@ -145,36 +156,24 @@ func (s *Server) replayJournal() error {
 			if _, dup := sweepRecs[rec.ID]; !dup {
 				sweepRecs[rec.ID] = rec
 				sweepOrder = append(sweepOrder, rec.ID)
+				for _, c := range rec.Children {
+					sweepChild[c] = true
+				}
 			}
+			lastSweep = max(lastSweep, idSuffix(rec.ID))
 			for _, c := range rec.Children {
-				sweepChild[c] = true
+				lastJob = max(lastJob, idSuffix(c))
 			}
+			continue
 		}
+		lastJob = max(lastJob, idSuffix(rec.ID))
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.replaying = true
 	defer func() { s.replaying = false }()
-
-	// Resume id allocation past every id the previous generation mentioned,
-	// terminal or not, so new submissions never collide with pre-crash ids.
-	bumpJob := func(id string) {
-		if n := idSuffix(id); n > s.nextID {
-			s.nextID = n
-		}
-	}
-	for _, id := range acceptOrder {
-		bumpJob(id)
-	}
-	for id := range sweepChild {
-		bumpJob(id)
-	}
-	for _, id := range sweepOrder {
-		if n := idSuffix(id); n > s.nextSweep {
-			s.nextSweep = n
-		}
-	}
+	s.nextID, s.nextSweep = lastJob, lastSweep
 
 	// Pass 2a: re-admit incomplete standalone jobs in acceptance order.
 	for _, id := range acceptOrder {
@@ -192,7 +191,7 @@ func (s *Server) replayJournal() error {
 			continue
 		}
 		res, cached := s.lookupResult(comp.Hash())
-		if _, err := s.startJobLocked(id, comp, res, cached, nil); err != nil {
+		if _, err := s.startJobLocked(id, comp, res, cached, nil, 0); err != nil {
 			s.replayDropped++
 			continue
 		}
@@ -222,7 +221,7 @@ func (s *Server) replayJournal() error {
 			continue
 		}
 		exp, err := scenario.ExpandSweep(swspec)
-		if err != nil || len(exp.Children) != len(rec.Children) {
+		if err != nil || len(exp.Children) != len(rec.Children) || !s.unusedIDsLocked(rec.Children) {
 			s.replayDropped++
 			continue
 		}
@@ -233,22 +232,16 @@ func (s *Server) replayJournal() error {
 		admitted := true
 		for i, comp := range exp.Children {
 			res, cached := s.lookupResult(comp.Hash())
-			job, err := s.startJobLocked(rec.Children[i], comp, res, cached, swp)
-			if err != nil {
+			if _, err := s.startJobLocked(rec.Children[i], comp, res, cached, swp, i); err != nil {
 				admitted = false
 				break
 			}
-			swp.children[i] = job
 		}
 		if !admitted {
 			for _, cid := range rec.Children {
 				s.journalAppend(journalRecord{Op: opTerminal, ID: cid, Status: StatusCancelled})
 			}
-			for _, c := range swp.children {
-				if c != nil {
-					c.Cancel()
-				}
-			}
+			swp.CancelChildren()
 			s.replayDropped++
 			continue
 		}
@@ -257,6 +250,20 @@ func (s *Server) replayJournal() error {
 		s.replayedSweeps++
 	}
 	return jl.Seal()
+}
+
+// unusedIDsLocked reports whether ids are distinct and name no registered
+// job. A journal that lists one child id twice, in one sweep record or in
+// two, would otherwise admit two jobs under it. Callers hold s.mu.
+func (s *Server) unusedIDsLocked(ids []string) bool {
+	seen := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		if _, taken := s.jobs[id]; taken || seen[id] {
+			return false
+		}
+		seen[id] = true
+	}
+	return true
 }
 
 // journalCompactEvery triggers an in-process journal rewrite once the
@@ -312,12 +319,13 @@ func (s *Server) liveJournalRecordsLocked() []any {
 		if err != nil {
 			continue
 		}
-		children := make([]string, len(sw.children))
+		kids := sw.records()
+		children := make([]string, len(kids))
 		var terms []any
-		for i, c := range sw.children {
-			children[i] = c.id
-			if st := c.Status(); st.terminal() {
-				terms = append(terms, journalRecord{Op: opTerminal, ID: c.id, Status: st})
+		for i, r := range kids {
+			children[i] = r.id
+			if r.status.terminal() {
+				terms = append(terms, journalRecord{Op: opTerminal, ID: r.id, Status: r.status})
 			}
 		}
 		recs = append(recs, journalRecord{Op: opSweep, ID: sid, Sweep: raw, Children: children})

@@ -208,8 +208,8 @@ func TestReplayResumesHalfFinishedSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	refCSV := ref.CSV()
-	victim := swA.children[2]
-	victimID, victimHash := victim.id, victim.comp.Hash()
+	victim := swA.View(true).Children[2]
+	victimID, victimHash := victim.ID, victim.SpecHash
 	sweepID := swA.id
 	// Snapshot the journal before Close: graceful shutdown compacts it to
 	// the live set (empty here — the sweep finished), but this test wants
@@ -260,7 +260,8 @@ func TestReplayResumesHalfFinishedSweep(t *testing.T) {
 		t.Fatalf("replayed %d sweeps, dropped %d; want 1, 0", sweeps, dropped)
 	}
 	waitSweep(t, swB)
-	for i, child := range swB.children {
+	for i, c := range swB.View(true).Children {
+		child, _ := svcB.Job(c.ID)
 		waitJob(t, child, StatusDone)
 		cached := child.View(false).Cached
 		if child.id == victimID && cached {

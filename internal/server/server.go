@@ -69,7 +69,10 @@ type Config struct {
 	// History bounds the job registry: once more than this many terminal
 	// jobs are retained, the oldest are pruned (default 512). Pruned jobs
 	// return 404; their results live on in the spec-hash cache and the
-	// persistent store. Sweeps are bounded the same way.
+	// persistent store. Sweeps are bounded the same way. A retained sweep
+	// keeps a small record per finished child, not the child's job, so at
+	// most History terminal jobs — with their event logs and per-trial
+	// results — stay resident, besides the live ones.
 	History int
 	// DataDir, when non-empty, persists every completed result as a
 	// per-spec-hash file under this directory and consults it on cache
@@ -390,7 +393,7 @@ func (s *Server) Submit(spec scenario.Spec) (*Job, error) {
 	// job, so pruning after it could count the job against History on its
 	// own submission, or not, depending on the schedule.
 	s.pruneLocked()
-	job, err := s.startJobLocked(fmt.Sprintf("j%06d", s.nextID+1), comp, res, cached, nil)
+	job, err := s.startJobLocked(fmt.Sprintf("j%06d", s.nextID+1), comp, res, cached, nil, 0)
 	s.srvm.admit("job", err)
 	if err != nil {
 		return nil, err
@@ -404,16 +407,17 @@ func (s *Server) Submit(spec scenario.Spec) (*Job, error) {
 // complete immediately, everything else is charged against the admission
 // budget and enqueued. id is caller-allocated: submissions pass a fresh id
 // (advancing nextID on success), journal replay passes the job's pre-crash
-// id so restarts preserve identity. The terminal hooks — sweep rollup,
-// journal terminal record, and cost release — are registered before the
-// job can possibly finish, and none of them takes s.mu, so they are safe
-// to fire from any path (including the inline cache-hit completion below,
-// which runs with s.mu held). Callers hold s.mu.
-func (s *Server) startJobLocked(id string, comp *scenario.Compiled, res *scenario.Result, cached bool, sw *Sweep) (*Job, error) {
+// id so restarts preserve identity. A sweep child passes its sweep and
+// grid index i, and is attached to the sweep once admitted. The terminal
+// hooks — sweep record, journal terminal record, and cost release — are
+// registered before the job can possibly finish, and none of them takes
+// s.mu, so they are safe to fire from any path (including the inline
+// cache-hit completion below, which runs with s.mu held). Callers hold s.mu.
+func (s *Server) startJobLocked(id string, comp *scenario.Compiled, res *scenario.Result, cached bool, sw *Sweep, i int) (*Job, error) {
 	job := newJob(id, comp)
 	if sw != nil {
 		job.fromSweep = true
-		job.onTerminal(func() { sw.childTerminal(job) })
+		job.onTerminal(func() { sw.childTerminal(i, job) })
 	}
 	job.onTerminal(func() {
 		s.journalAppend(journalRecord{Op: opTerminal, ID: job.id, Status: job.Status()})
@@ -467,7 +471,9 @@ func (s *Server) startJobLocked(id string, comp *scenario.Compiled, res *scenari
 	// The accept record lands only after admission fully succeeded — a
 	// rejected submission must leave no trace for replay to resurrect.
 	// Sweep children are covered by their sweep record instead.
-	if sw == nil {
+	if sw != nil {
+		sw.attach(i, job)
+	} else {
 		s.journalAppend(acceptRecord(job))
 	}
 	return job, nil
@@ -528,8 +534,7 @@ func (s *Server) SubmitSweep(sw scenario.SweepSpec) (*Sweep, error) {
 	swp := newSweep(swpID, exp)
 	s.nextSweep++
 	for i, comp := range exp.Children {
-		job, err := s.startJobLocked(childIDs[i], comp, looks[i].res, looks[i].cached, swp)
-		if err != nil {
+		if _, err := s.startJobLocked(childIDs[i], comp, looks[i].res, looks[i].cached, swp, i); err != nil {
 			// Unreachable given the up-front checks; fail closed anyway so a
 			// future change cannot leave a half-registered sweep behind —
 			// including in the journal, where terminal records for every
@@ -537,16 +542,11 @@ func (s *Server) SubmitSweep(sw scenario.SweepSpec) (*Sweep, error) {
 			for _, cid := range childIDs {
 				s.journalAppend(journalRecord{Op: opTerminal, ID: cid, Status: StatusCancelled})
 			}
-			for _, c := range swp.children {
-				if c != nil {
-					c.Cancel()
-				}
-			}
+			swp.CancelChildren()
 			s.srvm.admit("sweep", err)
 			return nil, err
 		}
 		s.nextID++
-		swp.children[i] = job
 	}
 	s.sweeps[swp.id] = swp
 	s.sweepOrder = append(s.sweepOrder, swp.id)
@@ -556,12 +556,16 @@ func (s *Server) SubmitSweep(sw scenario.SweepSpec) (*Sweep, error) {
 }
 
 // pruneLocked drops the oldest terminal jobs once more than History are
-// retained, so a long-running daemon's registry — and the per-trial result
-// payloads each job pins — stays bounded. Eviction is strictly
-// oldest-submission-first among terminal jobs: the scan walks s.order
-// (append-only submission order), never map iteration order, so which job
-// survives is deterministic. Live jobs are never pruned, regardless of
-// age. Terminal sweeps are bounded the same way. Callers must hold s.mu.
+// retained, so a long-running daemon's registry — and the event log and
+// per-trial result payloads each job pins — stays bounded. A sweep drops
+// its child's job at the child's terminal transition, so the registry is
+// the only holder of a terminal job and a pruned job is freed. Eviction is
+// strictly oldest-submission-first among terminal jobs: the scan walks
+// s.order (append-only submission order), never map iteration order, so
+// which job survives is deterministic. Live jobs are never pruned,
+// regardless of age. Terminal sweeps are bounded the same way; each keeps
+// its expansion, its event log and one record per child. Callers must
+// hold s.mu.
 func (s *Server) pruneLocked() {
 	s.order = pruneOldest(s.order, s.cfg.History,
 		func(id string) bool { return s.jobs[id].Status().terminal() },

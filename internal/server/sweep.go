@@ -13,6 +13,13 @@ import (
 // a completion event stream without polling every child. Children are
 // ordinary jobs — they appear under /v1/jobs, share the queue, the result
 // cache, and the persistent store — and the sweep only observes them.
+//
+// A sweep holds a child's *Job only while the child is live. When the
+// child reaches a terminal state the sweep keeps a childRecord of what its
+// endpoints read and drops the job, so the registry is the only holder of
+// a finished job and Config.History bounds every resident one. What a
+// retained sweep keeps is its expansion, its event log and one record per
+// child.
 type Sweep struct {
 	id    string
 	hash  string
@@ -21,12 +28,45 @@ type Sweep struct {
 	exp   *scenario.Expansion // immutable; axes + grid for report pivoting
 
 	mu       sync.Mutex
-	children []*Job // grid order; fully populated before the sweep is published
-	done     int    // children that reached a terminal state
+	children []sweepChild // grid order
+	done     int          // children that reached a terminal state
 	created  time.Time
 	finished time.Time
 	events   []SweepEvent
 	wake     chan struct{} // closed and replaced whenever events grows
+}
+
+// sweepChild is one grid cell of a sweep: the live job, or the record its
+// terminal hook stored in the job's place.
+type sweepChild struct {
+	job *Job // nil once terminal
+	rec childRecord
+}
+
+// childRecord is what the sweep endpoints read of one child. The child's
+// name, spec hash and trial total live in the sweep's expansion.
+type childRecord struct {
+	id        string
+	status    JobStatus
+	cached    bool
+	completed int
+	phases    PhaseView           // meaningful once terminal
+	agg       *scenario.Aggregate // nil unless done
+}
+
+// record snapshots what a sweep reads of its child job.
+func (j *Job) record() childRecord {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	r := childRecord{id: j.id, status: j.status, cached: j.cached, completed: j.completed}
+	if pv := j.phaseViewLocked(); pv != nil {
+		r.phases = *pv
+	}
+	if j.result != nil {
+		agg := j.result.Aggregate
+		r.agg = &agg
+	}
+	return r
 }
 
 // SweepEvent is one NDJSON record on a sweep's event stream: "queued" at
@@ -56,9 +96,12 @@ func newSweep(id string, exp *scenario.Expansion) *Sweep {
 		name:     exp.Spec.Name,
 		exp:      exp,
 		total:    len(exp.Children),
-		children: make([]*Job, len(exp.Children)),
+		children: make([]sweepChild, len(exp.Children)),
 		created:  time.Now(), //detvet:wallclock sweep age for status views; not part of any hash or report
-		wake:     make(chan struct{}),
+		// "queued", one "child" per child, then "done": sized once, so a
+		// retained sweep carries no growth slack.
+		events: make([]SweepEvent, 0, len(exp.Children)+2),
+		wake:   make(chan struct{}),
 	}
 	sw.appendLocked(SweepEvent{Type: "queued"})
 	return sw
@@ -76,24 +119,55 @@ func (sw *Sweep) appendLocked(e SweepEvent) {
 	sw.wake = make(chan struct{})
 }
 
-// childTerminal is the child jobs' terminal hook. It runs with no job or
-// server lock held (see Job.onTerminal), exactly once per child.
-func (sw *Sweep) childTerminal(j *Job) {
-	v := j.View(false)
+// attach stores child i's job once it is admitted. A child can finish
+// first — a cache hit completes inside startJobLocked, a worker can finish
+// a queued one — and then its record stands and the job is not stored.
+func (sw *Sweep) attach(i int, j *Job) {
 	sw.mu.Lock()
+	if sw.children[i].rec.status == "" {
+		sw.children[i].job = j
+	}
+	sw.mu.Unlock()
+}
+
+// childTerminal is child i's terminal hook: it replaces the job with its
+// record. It runs with no job or server lock held (see Job.onTerminal),
+// exactly once per child.
+func (sw *Sweep) childTerminal(i int, j *Job) {
+	rec := j.record()
+	sw.mu.Lock()
+	sw.children[i] = sweepChild{rec: rec}
 	sw.done++
 	sw.appendLocked(SweepEvent{
 		Type:     "child",
-		Job:      v.ID,
-		SpecHash: v.SpecHash,
-		Status:   v.Status,
-		Cached:   v.Cached,
+		Job:      rec.id,
+		SpecHash: sw.exp.Children[i].Hash(),
+		Status:   rec.status,
+		Cached:   rec.cached,
 	})
 	if sw.done == sw.total {
 		sw.finished = time.Now() //detvet:wallclock sweep duration for status views only
 		sw.appendLocked(SweepEvent{Type: "done"})
 	}
 	sw.mu.Unlock()
+}
+
+// records returns every child's record in grid order: the stored record of
+// a finished child, a fresh one read from a live child's job. A live job is
+// never pruned, so it is in the registry too.
+func (sw *Sweep) records() []childRecord {
+	sw.mu.Lock()
+	children := append([]sweepChild(nil), sw.children...)
+	sw.mu.Unlock()
+	recs := make([]childRecord, len(children))
+	for i, c := range children {
+		if c.job != nil {
+			recs[i] = c.job.record()
+		} else {
+			recs[i] = c.rec
+		}
+	}
+	return recs
 }
 
 // terminal reports whether every child has reached a terminal state.
@@ -121,23 +195,23 @@ func (sw *Sweep) eventsSince(from int) (events []SweepEvent, terminal bool, wake
 // so callers can watch an in-flight sweep converge; done counts the
 // present children so the caller can label the report's completeness.
 func (sw *Sweep) reportData(partial bool) (exp *scenario.Expansion, aggs []scenario.Aggregate, present []bool, done int, err error) {
-	aggs = make([]scenario.Aggregate, len(sw.children))
-	present = make([]bool, len(sw.children))
-	for i, j := range sw.children {
-		if st := j.Status(); st != StatusDone {
+	recs := sw.records()
+	aggs = make([]scenario.Aggregate, len(recs))
+	present = make([]bool, len(recs))
+	for i, r := range recs {
+		if r.status != StatusDone {
 			if !partial {
-				return nil, nil, nil, 0, fmt.Errorf("child %s is %s, not done", j.id, st)
+				return nil, nil, nil, 0, fmt.Errorf("child %s is %s, not done", r.id, r.status)
 			}
 			continue
 		}
-		res := j.Result()
-		if res == nil {
+		if r.agg == nil {
 			if !partial {
-				return nil, nil, nil, 0, fmt.Errorf("child %s has no result", j.id)
+				return nil, nil, nil, 0, fmt.Errorf("child %s has no result", r.id)
 			}
 			continue
 		}
-		aggs[i] = res.Aggregate
+		aggs[i] = *r.agg
 		present[i] = true
 		done++
 	}
@@ -190,21 +264,20 @@ func (sw *Sweep) Stats() SweepStats {
 		ps.Count++
 		st.Phases[name] = ps
 	}
-	for _, j := range sw.children {
-		v := j.View(false)
-		st.Counts[v.Status]++
-		if v.Phases == nil {
+	for _, r := range sw.records() {
+		st.Counts[r.status]++
+		if !r.status.terminal() {
 			continue
 		}
 		st.Terminal++
-		if v.Cached {
+		if r.cached {
 			st.Cached++
 		}
-		fold("queue_wait", v.Phases.QueueWaitMS)
-		fold("trials", v.Phases.TrialsMS)
-		fold("reduce", v.Phases.ReduceMS)
-		fold("persist", v.Phases.PersistMS)
-		fold("total", v.Phases.TotalMS)
+		fold("queue_wait", r.phases.QueueWaitMS)
+		fold("trials", r.phases.TrialsMS)
+		fold("reduce", r.phases.ReduceMS)
+		fold("persist", r.phases.PersistMS)
+		fold("total", r.phases.TotalMS)
 	}
 	for name, ps := range st.Phases {
 		ps.MeanMS = ps.SumMS / float64(ps.Count)
@@ -216,8 +289,16 @@ func (sw *Sweep) Stats() SweepStats {
 // CancelChildren cancels every non-terminal child and reports how many
 // cancellations took effect.
 func (sw *Sweep) CancelChildren() int {
+	sw.mu.Lock()
+	var live []*Job
+	for _, c := range sw.children {
+		if c.job != nil {
+			live = append(live, c.job)
+		}
+	}
+	sw.mu.Unlock()
 	n := 0
-	for _, j := range sw.children {
+	for _, j := range live {
 		if j.Cancel() {
 			n++
 		}
@@ -259,7 +340,6 @@ func (sw *Sweep) View(withChildren bool) SweepView {
 	sw.mu.Lock()
 	finished, created := sw.finished, sw.created
 	done := sw.done
-	children := sw.children
 	sw.mu.Unlock()
 	v := SweepView{
 		ID:        sw.id,
@@ -277,18 +357,18 @@ func (sw *Sweep) View(withChildren bool) SweepView {
 		t := finished
 		v.Finished = &t
 	}
-	for _, j := range children {
-		jv := j.View(false)
-		v.Counts[jv.Status]++
+	for i, r := range sw.records() {
+		v.Counts[r.status]++
 		if withChildren {
+			comp := sw.exp.Children[i]
 			v.Children = append(v.Children, SweepChildView{
-				ID:        jv.ID,
-				Name:      jv.Spec.Name,
-				SpecHash:  jv.SpecHash,
-				Status:    jv.Status,
-				Cached:    jv.Cached,
-				Completed: jv.Completed,
-				Total:     jv.Total,
+				ID:        r.id,
+				Name:      comp.Spec().Name,
+				SpecHash:  comp.Hash(),
+				Status:    r.status,
+				Cached:    r.cached,
+				Completed: r.completed,
+				Total:     comp.Trials(),
 			})
 		}
 	}

@@ -7,9 +7,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
+	"weak"
 
 	"dualradio/internal/scenario"
 )
@@ -156,8 +158,8 @@ func TestSweepResultsSurviveRestart(t *testing.T) {
 	}
 	first := waitForSweepDone(t, swp)
 	results := map[string][]byte{} // child spec hash → marshaled result
-	for i, c := range first.Children {
-		job := swp.children[i]
+	for _, c := range first.Children {
+		job, _ := svc.Job(c.ID)
 		data, err := json.Marshal(job.View(true).Result)
 		if err != nil {
 			t.Fatal(err)
@@ -195,7 +197,8 @@ func TestSweepResultsSurviveRestart(t *testing.T) {
 		if c.SpecHash != first.Children[i].SpecHash {
 			t.Fatalf("child order changed across restart at %d", i)
 		}
-		data, err := json.Marshal(swp2.children[i].View(true).Result)
+		job, _ := svc2.Job(c.ID)
+		data, err := json.Marshal(job.View(true).Result)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,10 +341,11 @@ func TestCancelSweepMidRunHTTP(t *testing.T) {
 	if !ok {
 		t.Fatalf("sweep %s not registered", accepted.ID)
 	}
+	first, _ := svc.Job(accepted.Children[0].ID)
 	deadline := time.Now().Add(30 * time.Second)
-	for sw.children[0].View(false).Completed == 0 {
-		if sw.children[0].Status().terminal() || time.Now().After(deadline) {
-			t.Fatalf("first child never ran a trial: %+v", sw.children[0].View(false))
+	for first.View(false).Completed == 0 {
+		if first.Status().terminal() || time.Now().After(deadline) {
+			t.Fatalf("first child never ran a trial: %+v", first.View(false))
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -440,5 +444,118 @@ func TestCancelSweepMidRunHTTP(t *testing.T) {
 	}
 	if got := len(svc2.queue); got != 0 {
 		t.Fatalf("%d jobs queued after restart", got)
+	}
+}
+
+// TestFinishedSweepReleasesChildren pins what a retained sweep keeps: a
+// record per finished child, not the child's job. The sweep runs twice:
+// the second submission is served from the cache, so its children finish
+// inside admission, before the sweep could store them. Once more than
+// History later jobs have pruned every child from the registry, nothing
+// may hold them, so every weak pointer clears after a GC; and each sweep's
+// view, stats and CSV report, read from the records, stay byte-identical.
+func TestFinishedSweepReleasesChildren(t *testing.T) {
+	const history = 4
+	svc, ts := newTestServer(t, Config{Workers: 2, History: history})
+	var (
+		urls     []string
+		want     []string
+		childIDs []string
+		children []weak.Pointer[Job]
+	)
+	for run := 0; run < 2; run++ {
+		resp, body := postJSON(t, ts.URL+"/v1/sweeps", quickSweep(21))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("sweep submit: status %d, body %s", resp.StatusCode, body)
+		}
+		var accepted SweepView
+		if err := json.Unmarshal(body, &accepted); err != nil {
+			t.Fatal(err)
+		}
+		sw, ok := svc.Sweep(accepted.ID)
+		if !ok {
+			t.Fatalf("sweep %s not registered", accepted.ID)
+		}
+		waitForSweepDone(t, sw)
+		base := ts.URL + "/v1/sweeps/" + accepted.ID
+		for _, url := range []string{base, base + "/stats", base + "/report?format=csv"} {
+			code, body := getText(t, url)
+			if code != http.StatusOK {
+				t.Fatalf("GET %s: status %d, body %s", url, code, body)
+			}
+			urls, want = append(urls, url), append(want, body)
+		}
+		for _, c := range accepted.Children {
+			job, ok := svc.Job(c.ID)
+			if !ok {
+				t.Fatalf("child %s not registered", c.ID)
+			}
+			childIDs, children = append(childIDs, c.ID), append(children, weak.Make(job))
+		}
+	}
+
+	for seed := uint64(1); seed <= history+2; seed++ {
+		job, err := svc.Submit(quickSpec(1, 900+seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, job, StatusDone)
+	}
+	for _, id := range childIDs {
+		if _, ok := svc.Job(id); ok {
+			t.Fatalf("child %s survived %d later jobs with History %d", id, history+2, history)
+		}
+	}
+	runtime.GC()
+	for i, w := range children {
+		if w.Value() != nil {
+			t.Errorf("pruned child %s is still reachable", childIDs[i])
+		}
+	}
+	for i, url := range urls {
+		if code, body := getText(t, url); code != http.StatusOK || body != want[i] {
+			t.Errorf("GET %s after its children were pruned: status %d, body\n%s\nwant\n%s", url, code, body, want[i])
+		}
+	}
+}
+
+// TestResidentJobsBoundedByHistory runs more than History sweeps through
+// SubmitSweep. After the last prune, the jobs reachable after a GC are
+// exactly the registry's, at most History: no retained sweep pins a
+// finished child.
+func TestResidentJobsBoundedByHistory(t *testing.T) {
+	const history = 16
+	svc, _ := newTestServer(t, Config{Workers: 2, History: history})
+	var jobs []weak.Pointer[Job]
+	for seed := uint64(1); seed <= history+4; seed++ {
+		sw, err := svc.SubmitSweep(quickSweep(100 + seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range waitForSweepDone(t, sw).Children {
+			job, ok := svc.Job(c.ID)
+			if !ok {
+				t.Fatalf("child %s not registered", c.ID)
+			}
+			jobs = append(jobs, weak.Make(job))
+		}
+	}
+	svc.mu.Lock()
+	svc.pruneLocked()
+	registered := len(svc.jobs)
+	svc.mu.Unlock()
+	runtime.GC()
+	reachable := 0
+	for _, w := range jobs {
+		if w.Value() != nil {
+			reachable++
+		}
+	}
+	if registered > history || reachable != registered {
+		t.Fatalf("%d of %d jobs reachable, %d registered; want the registered ones only, at most History %d",
+			reachable, len(jobs), registered, history)
+	}
+	if n := len(svc.Sweeps()); n != history {
+		t.Fatalf("%d sweeps retained, want History %d", n, history)
 	}
 }
