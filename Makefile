@@ -30,14 +30,16 @@ detvet:
 # and shake the mutator, short enough for CI: the spec-canonicalization
 # fuzzer, the exact-vs-leap differential engine harness, the exact engine
 # against the naive whole-execution reference, hostile POST bodies against
-# the job and sweep submission endpoints, and hostile journals replayed by
-# a booting server.
+# the job and sweep submission endpoints, hostile journals replayed by a
+# booting server, and the memoized MIS phase of the CCDS family against the
+# single-runner reference.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSpecCanonicalization -fuzztime 30s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzLeapDifferential -fuzztime 30s ./internal/harness
 	$(GO) test -run '^$$' -fuzz FuzzRunnerMatchesReference -fuzztime 30s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzSubmitBodies -fuzztime 30s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 30s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzMISPhaseReuse -fuzztime 30s ./internal/harness
 
 # bench-smoke runs every package benchmark once (about 10 s), so the
 # benchmarks keep running instead of only compiling under go test ./...

@@ -161,7 +161,7 @@ func newMISSchedule(n int, p Params) misSchedule {
 // O(log³ n) bound. Unlike the CCDS schedule lengths it cannot fail: the
 // MIS schedule does not depend on the message bound.
 func MISRounds(n int, p Params) int {
-	return newMISSchedule(n, p).total
+	return misScheduleFor(n, p).total
 }
 
 // bbLen returns the bounded-broadcast slot length ℓ_BB(δ) for network size n.

@@ -155,9 +155,33 @@ func (d *Detector) Verify(net *dualgraph.Network, asg *dualgraph.Assignment, tau
 	return nil
 }
 
+// Exact reports whether every node's set is exactly the ids of its
+// G-neighbours: the 0-complete detector with no mistakes, for which H = G.
+// Each neighbour is checked by membership; sizes alone could hide a missing
+// neighbour behind a false one.
+func (d *Detector) Exact(net *dualgraph.Network, asg *dualgraph.Assignment) bool {
+	g := net.G()
+	for v := 0; v < net.N(); v++ {
+		nb := g.Neighbors(v)
+		if d.sets[v].Len() != len(nb) {
+			return false
+		}
+		for _, w := range nb {
+			if !d.sets[v].Contains(asg.ID(int(w))) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // BuildH constructs the graph H of Section 3: (u,v) ∈ E_H iff u ∈ L_v and
-// v ∈ L_u. For any τ-complete detector, G ⊆ H; for τ = 0, H = G.
+// v ∈ L_u. For any τ-complete detector, G ⊆ H; for an exact detector
+// (τ = 0) H = G, and BuildH returns the network's G itself.
 func BuildH(net *dualgraph.Network, asg *dualgraph.Assignment, d *Detector) *graph.Graph {
+	if d.Exact(net, asg) {
+		return net.G()
+	}
 	h := graph.NewBuilder(net.N())
 	for u := 0; u < net.N(); u++ {
 		for _, idv := range d.sets[u].IDs() {

@@ -121,6 +121,97 @@ func TestBuildHEqualsGForZeroComplete(t *testing.T) {
 	})
 }
 
+// naiveH builds H edge by edge from mutual membership, the construction
+// BuildH falls back to, as a graph distinct from G.
+func naiveH(net *dualgraph.Network, asg *dualgraph.Assignment, d *Detector) *graph.Graph {
+	h := graph.NewBuilder(net.N())
+	for u := 0; u < net.N(); u++ {
+		for v := u + 1; v < net.N(); v++ {
+			if d.Set(u).Contains(asg.ID(v)) && d.Set(v).Contains(asg.ID(u)) {
+				_ = h.AddEdge(u, v)
+			}
+		}
+	}
+	return h.Build()
+}
+
+// sameGraph reports whether a and b have the same edge set.
+func sameGraph(a, b *graph.Graph) bool {
+	same := a.M() == b.M()
+	a.Edges(func(u, v int) { same = same && b.HasEdge(u, v) })
+	return same
+}
+
+// TestBuildHIsGForExactDetector checks that an exact detector's H is the
+// network's G itself, not a copy, under random assignments.
+func TestBuildHIsGForExactDetector(t *testing.T) {
+	for _, net := range []*dualgraph.Network{lineNetwork(t), cycleNetwork(t, 7)} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			asg := dualgraph.RandomAssignment(net.N(), rand.New(rand.NewPCG(seed, 5)))
+			d := Complete(net, asg)
+			if !d.Exact(net, asg) {
+				t.Fatal("the complete detector is not exact")
+			}
+			if h := BuildH(net, asg, d); h != net.G() {
+				t.Fatalf("seed %d: H of an exact detector is a copy, not G", seed)
+			}
+		}
+	}
+}
+
+// TestBuildHBuildsForInexactDetectors checks that τ-complete and
+// incomplete detectors still get H built from mutual membership, as a
+// graph distinct from G even where its edges coincide with G's.
+func TestBuildHBuildsForInexactDetectors(t *testing.T) {
+	line, cycle := lineNetwork(t), cycleNetwork(t, 6)
+	built := 0
+	for seed := uint64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 6))
+		lineAsg := dualgraph.RandomAssignment(line.N(), rng)
+		cycleAsg := dualgraph.IdentityAssignment(cycle.N())
+		for _, c := range []struct {
+			net *dualgraph.Network
+			asg *dualgraph.Assignment
+			d   *Detector
+		}{
+			{line, lineAsg, TauComplete(line, lineAsg, 1+int(seed%3), PlaceUniform, rng)},
+			{cycle, cycleAsg, Incomplete(cycle, cycleAsg, 1, rng)},
+		} {
+			if c.d.Exact(c.net, c.asg) {
+				t.Fatalf("seed %d: a detector with mistakes or drops passed as exact", seed)
+			}
+			h := BuildH(c.net, c.asg, c.d)
+			if h == c.net.G() {
+				t.Fatalf("seed %d: H of an inexact detector is G itself", seed)
+			}
+			if !sameGraph(h, naiveH(c.net, c.asg, c.d)) {
+				t.Fatalf("seed %d: H differs from mutual membership", seed)
+			}
+			built++
+		}
+	}
+	if built != 20 {
+		t.Fatalf("built %d graphs H, want 20", built)
+	}
+}
+
+// TestExactChecksMembership swaps one neighbour of a node for a
+// non-neighbour: every set keeps its size, so only membership shows the
+// detector is not exact.
+func TestExactChecksMembership(t *testing.T) {
+	net := lineNetwork(t)
+	asg := dualgraph.IdentityAssignment(net.N())
+	d := Complete(net, asg)
+	d.Set(1).Remove(asg.ID(0))
+	d.Set(1).Add(asg.ID(4))
+	if d.Exact(net, asg) {
+		t.Fatal("a swapped neighbour passed as exact")
+	}
+	if h := BuildH(net, asg, d); h == net.G() || !sameGraph(h, naiveH(net, asg, d)) {
+		t.Fatal("H of the swapped detector is not its mutual-membership graph")
+	}
+}
+
 // TestBuildHContainsG verifies G ⊆ H for any τ-complete detector (the
 // Section 3 observation), under random assignments and mistake budgets.
 func TestBuildHContainsG(t *testing.T) {

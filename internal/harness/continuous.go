@@ -58,7 +58,7 @@ func (s *Scenario) RunContinuousCCDS(dyn detector.Dynamic, periods int, checkpoi
 		procs[v] = p
 		period = p.Period()
 	}
-	runner, err := s.newRunner(procs, periods*period+1)
+	runner, err := sim.NewRunner(s.config(procs, periods*period+1))
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,15 @@
 // randomness into a sim.Runner for each of the paper's algorithms, and
 // gathers the outcomes into verification-ready form. The public dualradio
 // facade, the test suites, and the experiment harness all build on it.
+//
+// Instances (see Instance and SharedInstance) are memoized and shared
+// across trials, with what is derived from them: the graph H and one MIS
+// phase. The CCDS family and the full-schedule MIS run in two stages split
+// at the MIS schedule end, and the first stage's outcome is memoized on the
+// instance, so siblings on one instance under the same seed, parameters,
+// engine and stateless adversary compute their MIS phase once (see
+// misphase.go). Every execution stays bit-identical to one runner driving
+// it from round 0.
 package harness
 
 import (
@@ -59,11 +68,17 @@ type Scenario struct {
 // and detector — memoized on the shared instance when one backs this
 // scenario unchanged, rebuilt otherwise (e.g. after a test swaps Det).
 func (s *Scenario) H() *graph.Graph {
-	if s.Shared != nil && s.Shared.Det == s.Det &&
-		s.Shared.Net == s.Net && s.Shared.Asg == s.Asg {
+	if s.onShared() {
 		return s.Shared.H()
 	}
 	return detector.BuildH(s.Net, s.Asg, s.Det)
+}
+
+// onShared reports whether the scenario runs on its shared instance
+// unchanged, so state memoized on the instance describes it.
+func (s *Scenario) onShared() bool {
+	return s.Shared != nil && s.Shared.Det == s.Det &&
+		s.Shared.Net == s.Net && s.Shared.Asg == s.Asg
 }
 
 func (s *Scenario) params() core.Params {
@@ -77,8 +92,12 @@ func (s *Scenario) params() core.Params {
 // at node v (keyed by its process id, so the stream is stable under
 // re-assignment of processes to nodes).
 func (s *Scenario) RngFor(v int) *rand.Rand {
-	id := uint64(s.Asg.ID(v))
-	return rand.New(rand.NewPCG(s.Seed, id*0x9e3779b97f4a7c15+0x1234567))
+	return rand.New(rand.NewPCG(s.Seed, s.stream(v)))
+}
+
+// stream returns the PCG stream id of the process at node v.
+func (s *Scenario) stream(v int) uint64 {
+	return uint64(s.Asg.ID(v))*0x9e3779b97f4a7c15 + 0x1234567
 }
 
 func (s *Scenario) validate() error {
@@ -139,28 +158,10 @@ func collect(r *sim.Runner, inMIS func(p sim.Process) bool) *Outcome {
 	return out
 }
 
-// run executes procs under the scenario. untilDecided stops the execution
-// once every process has decided; otherwise it runs until every process is
-// done or maxRounds elapse.
-func (s *Scenario) run(procs []sim.Process, maxRounds int, untilDecided bool) (*sim.Runner, error) {
-	runner, err := s.newRunner(procs, maxRounds)
-	if err != nil {
-		return nil, err
-	}
-	if untilDecided {
-		// The runner tracks decisions incrementally, so the stop
-		// condition is O(1) per round instead of an O(n) scan.
-		_, err = runner.RunUntil(runner.AllDecided)
-	} else {
-		_, err = runner.Run()
-	}
-	return runner, err
-}
-
-// newRunner builds the engine for procs: the one place a scenario's
-// sim.Config is assembled.
-func (s *Scenario) newRunner(procs []sim.Process, maxRounds int) (*sim.Runner, error) {
-	return sim.NewRunner(sim.Config{
+// config assembles the engine configuration for procs: the one place a
+// scenario's sim.Config is built.
+func (s *Scenario) config(procs []sim.Process, maxRounds int) sim.Config {
+	return sim.Config{
 		Net:         s.Net,
 		Adversary:   s.Adv,
 		Processes:   procs,
@@ -168,7 +169,21 @@ func (s *Scenario) newRunner(procs []sim.Process, maxRounds int) (*sim.Runner, e
 		MaxRounds:   maxRounds,
 		Observer:    s.Observer,
 		Leap:        s.Leap,
-	})
+	}
+}
+
+// drive runs runner until every process is done or the round cap is
+// reached, or, with untilDecided, until every process has decided. The
+// runner tracks decisions incrementally, so that stop condition is O(1)
+// per round instead of an O(n) scan.
+func drive(runner *sim.Runner, untilDecided bool) error {
+	var err error
+	if untilDecided {
+		_, err = runner.RunUntil(runner.AllDecided)
+	} else {
+		_, err = runner.Run()
+	}
+	return err
 }
 
 // fixedProcess is a process with a fixed schedule length (see sim.Process).
@@ -177,12 +192,24 @@ type fixedProcess interface {
 	Rounds() int
 }
 
-// runFixed is the shared body of the fixed-schedule algorithms: validate the
-// scenario, build one process per node (build receives the node and the
-// network's Δ), run the schedule (to MaxRounds when set, else one round past
-// its end so every process observes completion), and collect the outcome.
-// CCDS algorithms require a positive message bound.
-func runFixed[P fixedProcess](s *Scenario, ccds bool, build func(v, delta int) (P, error), inMIS func(P) bool) (*Outcome, error) {
+// runFixed is the shared body of the fixed-schedule algorithms: validate
+// the scenario, build one process per node (build receives the node, the
+// network's Δ and the process's randomness stream), run the schedule (to
+// MaxRounds when set, else one round past its end so every process
+// observes completion), and collect the outcome. CCDS algorithms require a
+// positive message bound.
+//
+// An algorithm that opens with the Section 4 MIS passes the MIS subroutine
+// of each process as inner (the process itself for the MIS) and its
+// reception filter. Its execution is then split at the MIS schedule end,
+// unless it is capped inside the MIS phase (MaxRounds at most the cut, or
+// an MIS stopping once decided) or has no process: stage 1 brings the
+// subroutines there (see misPhase), and stage 2 resumes the processes at
+// that round with stage 1's counters. The MIS keeps its decided round; the
+// CCDS family decides anew, its outputs being undecided throughout the MIS
+// phase.
+func runFixed[P fixedProcess](s *Scenario, ccds bool, build func(v, delta int, rng *rand.Rand) (P, error),
+	inMIS func(P) bool, inner func(P) *core.MISProcess, filter core.FilterMode) (*Outcome, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
@@ -192,41 +219,69 @@ func runFixed[P fixedProcess](s *Scenario, ccds bool, build func(v, delta int) (
 	n := s.Net.N()
 	delta := s.Net.Delta()
 	procs := make([]sim.Process, n)
+	// The harness owns every process's PCG, so stage 2 can be handed the
+	// stream position a memoized stage 1 recorded.
+	pcgs := make([]rand.PCG, n)
+	var mis []*core.MISProcess
+	if inner != nil {
+		mis = make([]*core.MISProcess, n)
+	}
 	var total int
 	for v := 0; v < n; v++ {
-		p, err := build(v, delta)
+		pcgs[v].Seed(s.Seed, s.stream(v))
+		p, err := build(v, delta, rand.New(&pcgs[v]))
 		if err != nil {
 			return nil, err
 		}
 		procs[v] = p
+		if inner != nil {
+			mis[v] = inner(p)
+		}
 		total = p.Rounds()
 	}
 	maxRounds := s.MaxRounds
 	if maxRounds == 0 {
 		maxRounds = total + 1
 	}
-	runner, err := s.run(procs, maxRounds, s.StopWhenDecided)
+	cut := core.MISRounds(n, s.params())
+	var runner *sim.Runner
+	var err error
+	if inner == nil || n == 0 || maxRounds <= cut || !ccds && s.StopWhenDecided {
+		runner, err = sim.NewRunner(s.config(procs, maxRounds))
+	} else {
+		var carried sim.Stats
+		if carried, err = s.misPhase(mis, pcgs, cut, filter); err != nil {
+			return nil, err
+		}
+		if ccds {
+			carried.DecidedRound = -1
+		}
+		runner, err = sim.NewRunnerAt(s.config(procs, maxRounds), cut, carried)
+	}
 	if err != nil {
+		return nil, err
+	}
+	if err := drive(runner, s.StopWhenDecided); err != nil {
 		return nil, err
 	}
 	return collect(runner, func(p sim.Process) bool { return inMIS(p.(P)) }), nil
 }
 
 // misConfig returns the MIS process configuration of node v.
-func (s *Scenario) misConfig(v int, filter core.FilterMode) core.MISConfig {
+func (s *Scenario) misConfig(v int, filter core.FilterMode, rng *rand.Rand) core.MISConfig {
 	return core.MISConfig{
 		ID:       s.Asg.ID(v),
 		N:        s.Net.N(),
 		Detector: s.detSet(v),
 		Filter:   filter,
 		Params:   s.params(),
-		Rng:      s.RngFor(v),
+		Rng:      rng,
 	}
 }
 
 // ccdsConfig returns the CCDS process configuration of node v in a network
 // of maximum degree delta.
-func (s *Scenario) ccdsConfig(v, delta int) core.CCDSConfig {
+func (s *Scenario) ccdsConfig(v, delta int, rng *rand.Rand) core.CCDSConfig {
 	return core.CCDSConfig{
 		ID:       s.Asg.ID(v),
 		N:        s.Net.N(),
@@ -234,7 +289,7 @@ func (s *Scenario) ccdsConfig(v, delta int) core.CCDSConfig {
 		B:        s.B,
 		Detector: s.detSet(v),
 		Params:   s.params(),
-		Rng:      s.RngFor(v),
+		Rng:      rng,
 	}
 }
 
@@ -247,35 +302,37 @@ func (s *Scenario) RunMIS() (*Outcome, error) {
 // RunMISFiltered executes the Section 4 MIS algorithm with an explicit
 // reception filter (FilterNone reproduces the classic-model variant).
 func (s *Scenario) RunMISFiltered(filter core.FilterMode) (*Outcome, error) {
-	return runFixed(s, false, func(v, _ int) (*core.MISProcess, error) {
-		cfg := s.misConfig(v, filter)
+	return runFixed(s, false, func(v, _ int, rng *rand.Rand) (*core.MISProcess, error) {
+		cfg := s.misConfig(v, filter, rng)
 		// Mutual filtering needs the sender's detector set on the wire
 		// (the Section 6 labeling rule).
 		cfg.LabelMessages = filter == core.FilterMutual
 		return core.NewMISProcess(cfg)
-	}, (*core.MISProcess).InMIS)
+	}, (*core.MISProcess).InMIS, func(p *core.MISProcess) *core.MISProcess { return p }, filter)
 }
 
 // RunCCDS executes the Section 5 banned-list CCDS algorithm.
 func (s *Scenario) RunCCDS() (*Outcome, error) {
-	return runFixed(s, true, func(v, delta int) (*core.CCDSProcess, error) {
-		return core.NewCCDSProcess(s.ccdsConfig(v, delta))
-	}, (*core.CCDSProcess).InMIS)
+	return runFixed(s, true, func(v, delta int, rng *rand.Rand) (*core.CCDSProcess, error) {
+		return core.NewCCDSProcess(s.ccdsConfig(v, delta, rng))
+	}, (*core.CCDSProcess).InMIS, (*core.CCDSProcess).MIS, core.FilterDetector)
 }
 
 // RunBaselineCCDS executes the naive enumeration CCDS used as the Section 5
 // comparison point.
 func (s *Scenario) RunBaselineCCDS() (*Outcome, error) {
-	return runFixed(s, true, func(v, delta int) (*core.BaselineCCDSProcess, error) {
-		return core.NewBaselineCCDSProcess(s.ccdsConfig(v, delta))
-	}, (*core.BaselineCCDSProcess).InMIS)
+	return runFixed(s, true, func(v, delta int, rng *rand.Rand) (*core.BaselineCCDSProcess, error) {
+		return core.NewBaselineCCDSProcess(s.ccdsConfig(v, delta, rng))
+	}, (*core.BaselineCCDSProcess).InMIS, (*core.BaselineCCDSProcess).MIS, core.FilterDetector)
 }
 
 // RunTauCCDS executes the Section 6 CCDS algorithm for τ-complete detectors.
+// Its iterated MIS differs from the Section 4 MIS of one run, so it runs
+// unsplit.
 func (s *Scenario) RunTauCCDS(tau int) (*Outcome, error) {
-	return runFixed(s, true, func(v, delta int) (*core.TauCCDSProcess, error) {
-		return core.NewTauCCDSProcess(s.ccdsConfig(v, delta), tau)
-	}, (*core.TauCCDSProcess).Dominator)
+	return runFixed(s, true, func(v, delta int, rng *rand.Rand) (*core.TauCCDSProcess, error) {
+		return core.NewTauCCDSProcess(s.ccdsConfig(v, delta, rng), tau)
+	}, (*core.TauCCDSProcess).Dominator, nil, 0)
 }
 
 // RunAsyncMIS executes the Section 9 asynchronous-start MIS variant. wake
@@ -292,7 +349,7 @@ func (s *Scenario) RunAsyncMIS(wake []int, filter core.FilterMode) (*AsyncOutcom
 	}
 	procs := make([]sim.Process, n)
 	for v := 0; v < n; v++ {
-		p, err := core.NewAsyncMISProcess(s.misConfig(v, filter), wake[v])
+		p, err := core.NewAsyncMISProcess(s.misConfig(v, filter, s.RngFor(v)), wake[v])
 		if err != nil {
 			return nil, err
 		}
@@ -302,8 +359,11 @@ func (s *Scenario) RunAsyncMIS(wake []int, filter core.FilterMode) (*AsyncOutcom
 	if maxRounds == 0 {
 		maxRounds = 1 << 20
 	}
-	runner, err := s.run(procs, maxRounds, true)
+	runner, err := sim.NewRunner(s.config(procs, maxRounds))
 	if err != nil {
+		return nil, err
+	}
+	if err := drive(runner, true); err != nil {
 		return nil, err
 	}
 	base := collect(runner, func(p sim.Process) bool {

@@ -2,6 +2,7 @@ package harness_test
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"dualradio/internal/adversary"
@@ -9,6 +10,7 @@ import (
 	"dualradio/internal/detector"
 	"dualradio/internal/dualgraph"
 	"dualradio/internal/gen"
+	"dualradio/internal/graph"
 	"dualradio/internal/harness"
 	"dualradio/internal/verify"
 )
@@ -61,6 +63,42 @@ func TestCCDSSolvesOnRandomGeometric(t *testing.T) {
 		h := detector.BuildH(s.Net, s.Asg, s.Det)
 		if rep := verify.CCDS(s.Net, h, out.Outputs, 0); !rep.OK() {
 			t.Errorf("seed %d: %v", seed, rep.Err())
+		}
+	}
+}
+
+// TestVerifyReportsUnchangedWhenHIsG checks that verification reads an
+// exact detector's H = G exactly as it read the copy BuildH used to build:
+// the MIS and CCDS reports, violations included, are identical for the
+// runs' outputs and for random ones.
+func TestVerifyReportsUnchangedWhenHIsG(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 3} {
+		s := scenario(t, 64, seed)
+		h := detector.BuildH(s.Net, s.Asg, s.Det)
+		if h != s.Net.G() {
+			t.Fatal("H of the complete detector is not G")
+		}
+		copyG := graph.BuilderFrom(s.Net.G()).Build()
+		mis, err := s.RunMIS()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ccds, err := s.RunCCDS()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewPCG(seed, 9))
+		random := make([]int, s.Net.N())
+		for v := range random {
+			random[v] = rng.IntN(3) - 1
+		}
+		for _, out := range [][]int{mis.Outputs, ccds.Outputs, random} {
+			if a, b := verify.MIS(s.Net, h, out), verify.MIS(s.Net, copyG, out); !reflect.DeepEqual(a, b) {
+				t.Fatalf("seed %d: MIS report %v with H = G, %v with a copy", seed, a.Err(), b.Err())
+			}
+			if a, b := verify.CCDS(s.Net, h, out, 0), verify.CCDS(s.Net, copyG, out, 0); !reflect.DeepEqual(a, b) {
+				t.Fatalf("seed %d: CCDS report %v with H = G, %v with a copy", seed, a.Err(), b.Err())
+			}
 		}
 	}
 }

@@ -38,6 +38,13 @@ type InstanceSpec struct {
 // the three is modified after construction by any consumer (processes clone
 // detector sets before mutating), so a single instance may back any number
 // of concurrent executions.
+//
+// Derived state is memoized with the instance and shared the same way: the
+// graph H (see H), and one MIS phase, the opening the CCDS family shares
+// with a full-schedule MIS run (see runFixed and misPhaseKey). The phase is
+// computed by the first eligible execution, with singleflight, and read by
+// every later one under the same (seed, params, engine, adversary kind);
+// other keys run it inline. Both are charged up front in the memo weight.
 type Instance struct {
 	Net *dualgraph.Network
 	Asg *dualgraph.Assignment
@@ -45,12 +52,15 @@ type Instance struct {
 
 	hOnce sync.Once
 	h     *graph.Graph
+
+	misMu sync.Mutex
+	mis   *misSlot
 }
 
 // H returns the Section 3 graph H induced by the instance's detector
 // (mutual detector membership). Every verification pass consults it, so it
 // is memoized with the instance rather than rebuilt per trial. The graph is
-// immutable and shared.
+// immutable and shared; for an exact detector it is the network's G.
 func (i *Instance) H() *graph.Graph {
 	i.hOnce.Do(func() { i.h = detector.BuildH(i.Net, i.Asg, i.Det) })
 	return i.h
@@ -138,9 +148,11 @@ const entryBytes = 256
 
 // bytes is the instance's memo weight: the heap its arrays occupy once
 // every lazy structure is built, from each array's length and element
-// size. It is computed when the build returns, so the lazily built H and
-// gray caches are charged up front — H at its bound, G plus one edge per
-// two detector mistakes (a mistaken H edge is a mutual mistake).
+// size. It is computed when the build returns, so the lazily built H, gray
+// caches and MIS phase are charged up front: H at its bound, G plus one
+// edge per two detector mistakes (a mistaken H edge is a mutual mistake),
+// and nothing when the detector is exact and H is G itself; the MIS phase
+// with every M_u at its bound, the node's detector set plus itself.
 func (i *Instance) bytes() int64 {
 	if i == nil {
 		return entryBytes
@@ -160,11 +172,23 @@ func (i *Instance) bytes() int64 {
 	b += 8*n + 8*(n+1)                      // assignment: both directions of the bijection
 	words := (n + 64) / 64                  // detector.NewSet's bitset length
 	b += n * (8 + 32 + allocBytes(8*words)) // detector: pointer, Set header and bitset per node
-	mistakes := -2 * m
+	detIDs := int64(0)
 	for _, s := range i.Det.Sets() {
-		mistakes += int64(s.Len())
+		detIDs += int64(s.Len())
 	}
-	return b + csr(m+max(mistakes, 0)/2) // H
+	b += misPhaseBytes(n, detIDs)
+	if i.Det.Exact(i.Net, i.Asg) {
+		return b // H is G
+	}
+	return b + csr(m+max(detIDs-2*m, 0)/2) // H
+}
+
+// misPhaseBytes bounds the weight of a memoized MIS phase on an n-node
+// instance whose detector sets hold detIDs ids in all: the misOutcome and a
+// misNode per node, and every M_u at its bound, since M_u only gains the
+// node's own id and detector-filtered senders.
+func misPhaseBytes(n, detIDs int64) int64 {
+	return entryBytes + misNodeBytes*n + 4*(detIDs+n)
 }
 
 // allocBytes rounds a small allocation up to the Go allocator's size-class

@@ -3,6 +3,8 @@ package harness
 import (
 	"runtime"
 	"testing"
+
+	"dualradio/internal/adversary"
 )
 
 // TestSharedInstanceMatchesBuild locks the cache to the from-scratch
@@ -71,9 +73,10 @@ func TestSharedInstancePointerIdentityUnderTrials(t *testing.T) {
 }
 
 // TestInstanceWeightTracksHeap checks the instance memo's weight against
-// the heap an instance really occupies once H and the gray caches are
-// built: within a factor of two either way, across sizes where the
-// detector bitsets go from a minor to the dominant term.
+// the heap an instance really occupies once H, the gray caches and its MIS
+// phase are built: within a factor of two either way, across sizes where
+// the detector bitsets go from a minor to the dominant term. The MIS
+// phase's share of the weight must bound the arrays the phase holds.
 func TestInstanceWeightTracksHeap(t *testing.T) {
 	for _, spec := range []InstanceSpec{
 		{N: 64, Seed: 5},
@@ -91,6 +94,11 @@ func TestInstanceWeightTracksHeap(t *testing.T) {
 		}
 		inst.H()
 		inst.Net.GrayAdjacency()
+		s := &Scenario{Net: inst.Net, Asg: inst.Asg, Det: inst.Det,
+			Adv: adversary.NewCollisionSeeking(inst.Net), Seed: 1, Shared: inst}
+		if _, err := s.RunMIS(); err != nil {
+			t.Fatal(err)
+		}
 		runtime.GC()
 		runtime.ReadMemStats(&after)
 		heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
@@ -100,20 +108,40 @@ func TestInstanceWeightTracksHeap(t *testing.T) {
 		if w < heap/2 || w > 2*heap {
 			t.Errorf("%+v: weight %d outside 0.5-2x of heap bytes %d", spec, w, heap)
 		}
+		o := inst.mis.out
+		held := int64(len(o.nodes))*misNodeBytes + 4*int64(cap(o.ids))
+		detIDs := int64(0)
+		for _, set := range inst.Det.Sets() {
+			detIDs += int64(set.Len())
+		}
+		if charged := misPhaseBytes(int64(spec.N), detIDs); held > charged {
+			t.Errorf("%+v: MIS phase holds %d array bytes, charged %d", spec, held, charged)
+		}
 	}
 }
 
 // TestInstanceCacheBounded checks the memo's byte bound end to end: after
-// a run of distinct instances the resident bytes stay within the budget,
-// and an instance heavier than the whole budget (n=4096) is served but
-// not retained, so the next getter rebuilds it.
+// a run of distinct instances, every sixth holding its MIS phase (charged
+// up front either way), the resident bytes stay within the budget, and an
+// instance heavier than the whole budget (n=4096) is served but not
+// retained, so the next getter rebuilds it.
 func TestInstanceCacheBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds an n=4096 instance")
 	}
 	for seed := uint64(0); seed < 48; seed++ {
-		if _, err := SharedInstance(InstanceSpec{N: 256, Seed: 1000 + seed}); err != nil {
+		inst, err := SharedInstance(InstanceSpec{N: 256, Seed: 1000 + seed})
+		if err != nil {
 			t.Fatal(err)
+		}
+		if seed%6 == 0 {
+			s := &Scenario{Net: inst.Net, Asg: inst.Asg, Det: inst.Det, Seed: 1, Shared: inst}
+			if _, err := s.RunMIS(); err != nil {
+				t.Fatal(err)
+			}
+			if inst.mis == nil || inst.mis.out == nil {
+				t.Fatal("an eligible MIS run left the instance's MIS phase empty")
+			}
 		}
 		if st := InstanceCache(); st.Bytes > InstanceCacheBudget || st.Bytes <= 0 {
 			t.Fatalf("after %d instances: %d bytes resident, budget %d", seed+1, st.Bytes, InstanceCacheBudget)

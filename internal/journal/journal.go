@@ -42,7 +42,10 @@ type Journal struct {
 // ReadAll returns the complete records of the journal at path, one raw
 // JSON line each, in append order. A missing file is an empty journal. A
 // trailing line without a newline — the append in flight when a previous
-// process died — is discarded; blank lines are skipped.
+// process died — is discarded; blank lines are skipped. A record may be
+// any length: the file is already in memory, so lines are cut from it
+// without a scanner's line cap. Each record is a capped slice of that
+// buffer.
 func ReadAll(path string) ([][]byte, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -59,17 +62,14 @@ func ReadAll(path string) ([][]byte, error) {
 		data = data[:i+1]
 	}
 	var records [][]byte
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(nil, 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
+	for len(data) > 0 {
+		i := bytes.IndexByte(data, '\n')
+		line := bytes.TrimSpace(data[:i])
+		data = data[i+1:]
 		if len(line) == 0 {
 			continue
 		}
-		records = append(records, append([]byte(nil), line...))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("journal: scan %s: %w", path, err)
+		records = append(records, line[:len(line):len(line)])
 	}
 	return records, nil
 }

@@ -2,9 +2,12 @@ package journal
 
 import (
 	"encoding/json"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -86,6 +89,58 @@ func TestReadAllDiscardsTornTail(t *testing.T) {
 	}
 }
 
+// A record may be longer than any line buffer: a 2 MiB record and its
+// neighbours read back intact, and a torn tail after it is still dropped.
+func TestReadAllLongRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.ndjson")
+	j, err := Begin(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	type big struct {
+		Op   string `json:"op"`
+		Name string `json:"name"`
+	}
+	name := strings.Repeat("<", 2<<20/6+1) // each '<' marshals to 6 bytes
+	for _, r := range []any{rec{"accept", 1}, big{"sweep", name}, rec{"accept", 2}} {
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"op":"term`)
+	f.Close()
+	lines, err := ReadAll(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lines) != 3 {
+		t.Fatalf("read %d records, want 3", len(lines))
+	}
+	if len(lines[1]) <= 2<<20 {
+		t.Fatalf("long record is %d bytes, want over 2 MiB", len(lines[1]))
+	}
+	var b big
+	if err := json.Unmarshal(lines[1], &b); err != nil || b.Name != name {
+		t.Fatalf("long record did not read back intact (err %v)", err)
+	}
+	if got := readRecs(t, path); got[0] != (rec{"accept", 1}) || got[2] != (rec{"accept", 2}) {
+		t.Fatalf("neighbours of the long record = %v", got)
+	}
+	// Records are capped slices: appending to one cannot overwrite the next.
+	_ = append(lines[0], '!')
+	if string(lines[1][:7]) != `{"op":"` {
+		t.Fatalf("appending to a record overwrote its neighbour: %q", lines[1][:7])
+	}
+}
+
 // Begin must leave the previous generation readable until Seal renames the
 // new one over it — the crash-mid-rebuild guarantee.
 func TestBeginPreservesPreviousGenerationUntilSeal(t *testing.T) {
@@ -149,6 +204,132 @@ func TestCompactReplacesContents(t *testing.T) {
 	if got := readRecs(t, path); !reflect.DeepEqual(got, []rec{{"accept", 9}, {"terminal", 9}}) {
 		t.Fatalf("post-compact replay = %v", got)
 	}
+}
+
+// Compact refuses an unsealed generation and a closed journal, and
+// leaves what it refused untouched.
+func TestCompactRefusesUnsealedAndClosed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.ndjson")
+	prev := `{"op":"accept","id":7}` + "\n"
+	if err := os.WriteFile(path, []byte(prev), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := Begin(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(rec{"accept", 8}); err != nil {
+		t.Fatal(err)
+	}
+	if j.Sealed() {
+		t.Fatal("a fresh generation reports sealed")
+	}
+	if err := j.Compact([]any{rec{"accept", 9}}); err == nil || !strings.Contains(err.Error(), "before seal") {
+		t.Fatalf("Compact before Seal = %v, want a before-seal error", err)
+	}
+	if got := readRecs(t, path); !reflect.DeepEqual(got, []rec{{"accept", 7}}) {
+		t.Fatalf("refused compaction changed the previous generation: %v", got)
+	}
+	if err := j.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if !j.Sealed() {
+		t.Fatal("a sealed generation reports unsealed")
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Compact([]any{rec{"accept", 9}}); err == nil || !strings.Contains(err.Error(), "closed") {
+		t.Fatalf("Compact after Close = %v, want a closed error", err)
+	}
+	if got := readRecs(t, path); !reflect.DeepEqual(got, []rec{{"accept", 8}}) {
+		t.Fatalf("compaction after Close changed the journal: %v", got)
+	}
+}
+
+// A record json.Marshal rejects fails the compaction: the previous
+// generation reads back intact, no side file remains, and appends keep
+// landing in the previous generation after its records.
+func TestCompactMarshalFailureKeepsGeneration(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "wal.ndjson")
+	j, err := Begin(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := j.Append(rec{"accept", i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Compact([]any{rec{"accept", 0}, math.Inf(1)}); err == nil {
+		t.Fatal("Compact of an unmarshalable record succeeded")
+	}
+	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("failed compaction left its side file (stat err %v)", err)
+	}
+	want := []rec{{"accept", 0}, {"accept", 1}, {"accept", 2}}
+	if got := readRecs(t, path); !reflect.DeepEqual(got, want) {
+		t.Fatalf("previous generation after a failed compaction = %v, want %v", got, want)
+	}
+	if got := j.Appends(); got != 3 {
+		t.Fatalf("Appends() after a failed compaction = %d, want 3", got)
+	}
+	if err := j.Append(rec{"terminal", 2}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if got := readRecs(t, path); !reflect.DeepEqual(got, append(want, rec{"terminal", 2})) {
+		t.Fatalf("append after a failed compaction = %v", got)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("journal dir holds %d entries (err %v), want only the journal", len(entries), err)
+	}
+}
+
+// Appends after a compaction land after the compacted records, through
+// two compactions in a row.
+func TestAppendsAfterCompactionFollowIt(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.ndjson")
+	j, err := Begin(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	var want []rec
+	for round := 0; round < 2; round++ {
+		live := []any{rec{"accept", 10 * round}, rec{"start", 10 * round}, rec{"accept", 10*round + 1}}
+		if err := j.Compact(live); err != nil {
+			t.Fatal(err)
+		}
+		want = want[:0]
+		for _, r := range live {
+			want = append(want, r.(rec))
+		}
+		for i := 0; i < 3; i++ {
+			r := rec{"terminal", 10*round + i}
+			if err := j.Append(r); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, r)
+		}
+		if got := j.Appends(); got != 6 {
+			t.Fatalf("round %d: Appends() = %d, want 6", round, got)
+		}
+		if got := readRecs(t, path); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: replay = %v, want %v", round, got, want)
+		}
+	}
+	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("compaction left its side file (stat err %v)", err)
+	}
+	j.Close()
 }
 
 func TestConcurrentAppends(t *testing.T) {

@@ -284,6 +284,79 @@ func TestReplayResumesHalfFinishedSweep(t *testing.T) {
 	}
 }
 
+// TestRestartReplaysRecordOverOneMiB crash-restarts a daemon whose
+// journal holds records over 1 MiB: a sweep named with 200,000 '<'
+// characters is a ~200 KB spec, and json.Marshal writes each '<' as the
+// six bytes \u003c, so its sweep and accept records exceed 1 MiB. The
+// restarted daemon must replay the sweep, name intact, and finish it.
+func TestRestartReplaysRecordOverOneMiB(t *testing.T) {
+	dir := t.TempDir()
+	name := strings.Repeat("<", 200000)
+	sweepSpec := scenario.SweepSpec{
+		Name: name,
+		Base: quickSpec(1, 9),
+		Axes: scenario.SweepAxes{N: &scenario.Axis{Values: []float64{16, 24}}},
+	}
+	svcA, err := New(Config{Workers: 2, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	swA, err := svcA.SubmitSweep(sweepSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitSweep(t, swA)
+	victim := swA.View(true).Children[1]
+	sweepID := swA.id
+	// Snapshot the journal before Close and restore it after, so the
+	// restart sees the crash shape rather than a compacted journal.
+	preClose, err := os.ReadFile(journalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svcA.Close()
+	longest := 0
+	var kept [][]byte
+	for _, line := range bytes.Split(preClose, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		longest = max(longest, len(line))
+		var rec journalRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		// Drop one child's terminal record and result, as if the crash
+		// landed before either was written, so the sweep must resume.
+		if rec.Op == opTerminal && rec.ID == victim.ID {
+			continue
+		}
+		kept = append(kept, line)
+	}
+	if longest <= 1<<20 {
+		t.Fatalf("longest journal record is %d bytes, want over 1 MiB", longest)
+	}
+	if err := os.WriteFile(journalPath(dir), append(bytes.Join(kept, []byte("\n")), '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, victim.SpecHash+".json")); err != nil {
+		t.Fatal(err)
+	}
+
+	svcB, _ := newTestServer(t, Config{Workers: 2, DataDir: dir})
+	swB, ok := svcB.Sweep(sweepID)
+	if !ok {
+		t.Fatal("the sweep with a record over 1 MiB was not resumed")
+	}
+	if got := swB.View(false).Name; got != name {
+		t.Fatalf("resumed sweep name is %d bytes, want the %d-byte original", len(got), len(name))
+	}
+	waitSweep(t, swB)
+	if st := swB.View(false).Status; st != "done" {
+		t.Fatalf("resumed sweep ended %q, want done", st)
+	}
+}
+
 func TestTransientFaultRetriesToSuccess(t *testing.T) {
 	inj, err := faultinject.New(faultinject.Spec{Rules: []faultinject.Rule{{
 		Kind: faultinject.KindTrialError, Attempts: 1, Transient: true, Message: "injected flake",
