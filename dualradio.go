@@ -149,9 +149,10 @@ type RunOptions struct {
 	// CollectTrace aggregates per-node and per-round activity during the
 	// run; the summary is reported in Result.TraceSummary.
 	CollectTrace bool
-	// Leap selects the leap-ahead engine: broadcast-free stretches are
-	// skipped via geometric sampling. Statistically equivalent to the
-	// default exact engine but not bit-identical run for run.
+	// Leap selects the leap engine: the clock jumps over stretches in
+	// which every process sleeps. Processes draw the exact coin stream, so
+	// the Result equals the default exact engine's, except that a
+	// CollectTrace summary covers only the rounds executed.
 	Leap bool
 }
 

@@ -36,12 +36,6 @@ type AsyncMISProcess struct {
 	// Cached immutable outgoing messages (identical every round).
 	contMsg *contenderMsg
 	annMsg  *announceMsg
-
-	// Leap engine state (unused by the exact engine): the pre-sampled heads
-	// round (-1 = none) and the epochStart it was sampled under — a
-	// knock-back moves epochStart, invalidating the sample.
-	leapNext       int
-	leapEpochStart int
 }
 
 var _ sim.Process = (*AsyncMISProcess)(nil)
@@ -62,7 +56,6 @@ func NewAsyncMISProcess(cfg MISConfig, wakeRound int) (*AsyncMISProcess, error) 
 		out:       sim.Undecided,
 		misSet:    detector.NewSet(cfg.N),
 		decided:   -1,
-		leapNext:  -1,
 	}, nil
 }
 

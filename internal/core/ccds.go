@@ -187,10 +187,6 @@ type CCDSProcess struct {
 	detIDs     []int
 	respMIS    int
 	respChunks [][]int
-
-	// arena recycles short-lived outgoing messages under the leap engine;
-	// nil under the exact engine (see leapMsgs).
-	arena *leapMsgs
 }
 
 var _ sim.Process = (*CCDSProcess)(nil)
@@ -289,20 +285,9 @@ func (p *CCDSProcess) initSearch() {
 // randomness-free while silent; phase 3 costs one coin per round, so its
 // sleeps pre-consume the skipped rounds' coins (see sendExplore).
 func (p *CCDSProcess) Broadcast(round int) (sim.Message, int) {
-	return p.drive(round, false)
-}
-
-// drive is the one search-epoch drive behind Broadcast and BroadcastLeap.
-// The two differ only in the MIS subroutine they delegate to, the leap
-// message arena, and phase 3, where the exact drive burns the coins of the
-// rounds it sleeps through and the leap drive does not.
-func (p *CCDSProcess) drive(round int, leap bool) (sim.Message, int) {
 	if round < p.sched.mis.total {
 		// The MIS subroutine's sleep-forever is its own schedule end,
 		// which is exactly where the search takes over.
-		if leap {
-			return p.mis.BroadcastLeap(round)
-		}
 		return p.mis.Broadcast(round)
 	}
 	if round >= p.sched.total {
@@ -311,12 +296,6 @@ func (p *CCDSProcess) drive(round int, leap bool) (sim.Message, int) {
 	}
 	if !p.searchInit {
 		p.initSearch()
-	}
-	if leap {
-		if p.arena == nil {
-			p.arena = &leapMsgs{}
-		}
-		p.arena.reset()
 	}
 	t := round - p.sched.mis.total
 	if t != p.nextT {
@@ -336,7 +315,7 @@ func (p *CCDSProcess) drive(round int, leap bool) (sim.Message, int) {
 	case phaseDecay:
 		m, rel = p.sendDecay(off)
 	default:
-		m, rel = p.sendExplore(off, !leap)
+		m, rel = p.sendExplore(off)
 	}
 	return m, round + rel
 }
@@ -522,11 +501,6 @@ func (p *CCDSProcess) sendDecay(off int) (sim.Message, int) {
 		// firings are combined into a single batched message.
 		prob := p.sched.mis.probs[ddPhase]
 		var entries []nomination
-		if p.arena != nil {
-			// Leap engine: reuse the arena's entries buffer (receivers
-			// copy nomination values, never the slice).
-			entries = p.arena.noms[:0]
-		}
 		for i := range p.noms {
 			if p.noms[i].active && p.cfg.Rng.Float64() < prob {
 				entries = append(entries, nomination{
@@ -535,14 +509,8 @@ func (p *CCDSProcess) sendDecay(off int) (sim.Message, int) {
 				})
 			}
 		}
-		if p.arena != nil {
-			p.arena.noms = entries
-		}
 		if len(entries) == 0 {
 			return nil, 1
-		}
-		if p.arena != nil {
-			return p.arena.newNominate(p.cfg.N, p.cfg.ID, entries), 1
 		}
 		return newNominate(p.cfg.N, p.cfg.ID, entries), 1
 	}
@@ -592,15 +560,12 @@ func (p *CCDSProcess) hasActiveNoms() bool {
 // chunk). A process in its role flips its 1/2 slot coin and broadcasts on
 // heads; any other process sleeps through the window exploreSilence
 // reports. The schedule charges one coin per phase-3 round, silent or not,
-// so with burn set (the exact drive) a sleep first pre-consumes the coins
-// of this round and every skipped one, leaving the stream where a per-round
-// drive would; the leap drive owes nothing for skipped rounds.
-func (p *CCDSProcess) sendExplore(off int, burn bool) (sim.Message, int) {
+// so a sleep first pre-consumes the coins of this round and every skipped
+// one, leaving the stream where a per-round drive would.
+func (p *CCDSProcess) sendExplore(off int) (sim.Message, int) {
 	if rel := p.exploreSilence(off); rel > 0 {
-		if burn {
-			for k := 0; k < rel; k++ {
-				p.cfg.Rng.Float64()
-			}
+		for k := 0; k < rel; k++ {
+			p.cfg.Rng.Float64()
 		}
 		return nil, rel
 	}
@@ -653,9 +618,6 @@ func (p *CCDSProcess) exploreSilence(off int) int {
 func (p *CCDSProcess) exploreMsg(slot int) sim.Message {
 	switch {
 	case slot == 0:
-		if p.arena != nil {
-			return p.arena.newSelect(p.cfg.N, p.cfg.ID, p.nomFrom, p.nomCand)
-		}
 		return newSelect(p.cfg.N, p.cfg.ID, p.nomFrom, p.nomCand)
 	case slot == 1:
 		return p.buildQuery()

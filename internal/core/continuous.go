@@ -68,16 +68,10 @@ func (p *ContinuousCCDSProcess) Done() bool { return false }
 
 // Broadcast implements sim.Process. It reports the inner run's wake round,
 // clamped to the period end, so every period boundary — where the previous
-// result commits and the detector is re-read — is driven.
-func (p *ContinuousCCDSProcess) Broadcast(round int) (sim.Message, int) {
-	return p.drive(round, false)
-}
-
-// drive is the one period drive behind Broadcast and BroadcastLeap; leap
-// selects the inner CCDS process's matching drive. Inner wakes never pass
-// the inner schedule end, which is the period end; the clamp keeps that
+// result commits and the detector is re-read — is driven. Inner wakes never
+// pass the inner schedule end, which is the period end; the clamp keeps that
 // invariant explicit.
-func (p *ContinuousCCDSProcess) drive(round int, leap bool) (sim.Message, int) {
+func (p *ContinuousCCDSProcess) Broadcast(round int) (sim.Message, int) {
 	local := round % p.period
 	if local == 0 {
 		p.beginPeriod(round)
@@ -86,13 +80,13 @@ func (p *ContinuousCCDSProcess) drive(round int, leap bool) (sim.Message, int) {
 	if p.inner == nil {
 		return nil, periodEnd
 	}
-	m, wake := p.inner.drive(local, leap)
+	m, wake := p.inner.Broadcast(local)
 	return m, min(round-local+wake, periodEnd)
 }
 
 // beginPeriod commits the previous period's result and starts a fresh inner
 // CCDS run against the detector's current output. Called at every period
-// boundary by drive.
+// boundary by Broadcast.
 func (p *ContinuousCCDSProcess) beginPeriod(round int) {
 	p.commit()
 	inner, err := NewCCDSProcess(CCDSConfig{

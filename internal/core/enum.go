@@ -68,10 +68,6 @@ type enumConnect struct {
 	chunks0   [][]int      // phase-0 detector chunks (the detector set is immutable)
 	summary   []domWitness // phase-B summary (heard is final once phase A ends)
 	fwdChunks [][]int      // phase-D relay chunks (forward is final at the phase-D edge)
-
-	// arena is the leap engine's message arena (nil under the exact engine;
-	// see leap.go).
-	arena *leapMsgs
 }
 
 // enumStagger is the number of id-residue groups used to stagger the phases

@@ -98,10 +98,6 @@ type MISProcess struct {
 	// fixed process, so they are built once and reused.
 	contMsg *contenderMsg
 	annMsg  *announceMsg
-
-	// leapNext is the leap engine's pre-sampled heads round (-1 = none);
-	// see BroadcastLeap. Unused by the exact engine.
-	leapNext int
 }
 
 var _ sim.Process = (*MISProcess)(nil)
@@ -117,7 +113,6 @@ func NewMISProcess(cfg MISConfig) (*MISProcess, error) {
 		out:         sim.Undecided,
 		misSet:      detector.NewSet(cfg.N),
 		joinedEpoch: -1,
-		leapNext:    -1,
 	}, nil
 }
 

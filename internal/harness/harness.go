@@ -8,10 +8,10 @@
 // across trials, with what is derived from them: the graph H and one MIS
 // phase. The CCDS family and the full-schedule MIS run in two stages split
 // at the MIS schedule end, and the first stage's outcome is memoized on the
-// instance, so siblings on one instance under the same seed, parameters,
-// engine and stateless adversary compute their MIS phase once (see
-// misphase.go). Every execution stays bit-identical to one runner driving
-// it from round 0.
+// instance, so siblings on one instance under the same seed, parameters
+// and stateless adversary compute their MIS phase once, whichever engine
+// runs them (see misphase.go). Every execution stays bit-identical to one
+// runner driving it from round 0.
 package harness
 
 import (
@@ -52,9 +52,12 @@ type Scenario struct {
 	// schedule (Rounds, Broadcasts, ...) do differ; leave this off when
 	// those matter.
 	StopWhenDecided bool
-	// Leap selects the leap engine (sim.Config.Leap): geometric round
-	// sampling and clock jumps over broadcast-free stretches. Executions are
-	// statistically equivalent to the exact engine but not bit-identical.
+	// Leap selects the leap engine (sim.Config.Leap): the clock jumps over
+	// stretches in which every process sleeps. Processes draw the exact
+	// coin stream, so the Outcome equals the exact engine's, except that
+	// GrayActivations under Full skips the jumped rounds, an Observer is not
+	// called for them, and under Bursty the jumped rounds advance its links
+	// through Skip, which is equal to them in distribution only.
 	Leap bool
 	// Observer, if non-nil, receives per-round callbacks.
 	Observer sim.Observer

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"dualradio/internal/adversary"
@@ -11,8 +12,12 @@ import (
 
 // FuzzLeapDifferential is the differential harness between the exact and
 // leap engines: one fuzz input configures a workload (size, seed, protocol,
-// adversary) and both engines run it. The invariants are exactly what the
-// leap contract owes — nothing bitwise, everything structural:
+// adversary) and both engines run it. Both drive the same Broadcast calls,
+// so under the nil and collision adversaries, which keep no state, the
+// execution is the same one: the engines must agree on Outputs, Rounds and
+// DecidedRound. Under bursty the leap engine's Skip advances the links
+// through a jumped stretch in law only, so there the invariants are
+// structural:
 //
 //   - neither engine panics, and both agree on whether the workload errors;
 //   - fixed-schedule protocols run for the identical number of rounds (the
@@ -20,7 +25,10 @@ import (
 //     an engine bug, not randomness);
 //   - under a jam-free adversary both engines' outputs solve the problem
 //     (validity is NOT an invariant under jamming: the adversary is allowed
-//     to starve a run, and the two engines realize different executions).
+//     to starve a run).
+//
+// Each run is on its instance unshared, so neither engine reads an MIS
+// phase the other memoized.
 //
 // Kept small enough for the CI fuzz-smoke budget: n is clamped to [8, 48]
 // and CCDS variants get a generous message bound so schedules stay short.
@@ -54,6 +62,7 @@ func FuzzLeapDifferential(f *testing.F) {
 		type result struct {
 			outputs []int
 			rounds  int
+			decided int
 			err     error
 		}
 		run := func(leap bool) result {
@@ -66,7 +75,6 @@ func FuzzLeapDifferential(f *testing.F) {
 				Seed:   seed,
 				B:      1 << 15,
 				Leap:   leap,
-				Shared: inst,
 			}
 			var out *Outcome
 			var err error
@@ -85,7 +93,7 @@ func FuzzLeapDifferential(f *testing.F) {
 			if err != nil {
 				return result{err: err}
 			}
-			return result{outputs: out.Outputs, rounds: out.Rounds}
+			return result{outputs: out.Outputs, rounds: out.Rounds, decided: out.DecidedRound}
 		}
 		exact := run(false)
 		leap := run(true)
@@ -97,6 +105,12 @@ func FuzzLeapDifferential(f *testing.F) {
 		}
 		if exact.rounds != leap.rounds {
 			t.Fatalf("fixed schedule length diverged: exact %d vs leap %d rounds", exact.rounds, leap.rounds)
+		}
+		if advKind%3 != 2 {
+			if !slices.Equal(exact.outputs, leap.outputs) || exact.decided != leap.decided {
+				t.Fatalf("stateless adversary: leap outputs %v decided %d, exact %v decided %d",
+					leap.outputs, leap.decided, exact.outputs, exact.decided)
+			}
 		}
 		if jamFree {
 			s := &Scenario{Net: inst.Net, Asg: inst.Asg, Det: inst.Det, Shared: inst}

@@ -241,9 +241,9 @@ func checkMemo(t testing.TB, o *misOutcome, s *Scenario, r phaseRun) {
 // two-stage CCDS family and the memoized MIS phase: every run, on every
 // path, must equal the single-runner reference exactly. On each fresh
 // instance the first eligible run fills the memo (cold), its siblings under
-// the same key read it (warm) in both orders, and runs under another
-// engine, adversary kind or seed run inline beside it, as do the stateful
-// adversaries and Observer runs.
+// the same key read it (warm) in both orders, as does a sibling under the
+// other engine, and runs under another adversary kind or seed run inline
+// beside it, as do the stateful adversaries and Observer runs.
 func TestMISPhaseReuseMatchesReference(t *testing.T) {
 	paths := map[string]int{}
 	for _, shape := range []InstanceSpec{{N: 24, GrayProb: 0.15}, {N: 48, GrayProb: 0.4}} {
@@ -275,10 +275,15 @@ func TestMISPhaseReuseMatchesReference(t *testing.T) {
 					small := base
 					small.algo, small.b = "ccds", 160
 					paths[checkPhaseRun(t, inst, small)]++
-					// Every other key runs inline beside the memoized one.
+					// The engine stays out of the key too.
 					other := base
 					other.algo, other.leap = "ccds", !leap
-					for _, o := range []phaseRun{other, {algo: "mis", adv: otherAdv(adv), leap: leap, seed: 3},
+					if p := checkPhaseRun(t, inst, other); p != "warm" {
+						t.Fatalf("%v: took the %s path beside key %+v", other, p, inst.mis.key)
+					}
+					paths["warm"]++
+					// Every other key runs inline beside the memoized one.
+					for _, o := range []phaseRun{{algo: "mis", adv: otherAdv(adv), leap: leap, seed: 3},
 						{algo: "ccds", adv: adv, leap: leap, b: 512, seed: 4}} {
 						if p := checkPhaseRun(t, inst, o); p != "inline" {
 							t.Fatalf("%v: took the %s path beside key %+v", o, p, inst.mis.key)

@@ -64,9 +64,11 @@ const (
 	// and every process draws its coins in round order, so results are
 	// bit-identical to the pre-engine-field scenario layer.
 	EngineExact = "exact"
-	// EngineLeap is the leap-ahead engine: broadcast-free stretches are
-	// skipped via geometric sampling. Statistically equivalent to exact
-	// but not bit-identical, so it hashes as a distinct workload.
+	// EngineLeap is the leap engine: the clock jumps over stretches in
+	// which every process sleeps, and processes draw the exact coin stream.
+	// Its Result equals exact's except under a bursty adversary, which
+	// advances its links through a jumped stretch in law only, so it
+	// hashes as a distinct workload.
 	EngineLeap = "leap"
 )
 
@@ -173,8 +175,8 @@ type Spec struct {
 	// Engine selects the execution engine: EngineExact (the default) or
 	// EngineLeap. The canonical spelling of EngineExact is the empty
 	// string, so every spec predating the field keeps its hash; EngineLeap
-	// hashes distinctly because leap trials are statistically equivalent
-	// but not bit-identical.
+	// hashes distinctly because a leap Result is not always the exact one
+	// (see EngineLeap).
 	Engine string `json:"engine,omitempty"`
 	// TimeoutMS caps the run's wallclock in milliseconds (0 = no
 	// deadline). It is an execution policy, not part of the workload: the

@@ -6,18 +6,14 @@ import (
 	"dualradio/internal/sim"
 )
 
-// calendarProc implements both broadcast contracts: it broadcasts at a
-// fixed set of scripted rounds and sleeps in between, recording which entry
-// point the engine drove. It lets the leap tests observe engine dispatch
-// without any protocol randomness.
+// calendarProc broadcasts at a fixed set of scripted rounds and sleeps in
+// between. It lets the leap tests observe the engine's clock jumps without
+// any protocol randomness.
 type calendarProc struct {
-	id         int
-	total      int
-	script     map[int]sim.Message
-	leapCalls  int
-	exactCalls int
-	driven     []int
-	recv       map[int]sim.Message
+	id     int
+	total  int
+	script map[int]sim.Message
+	recv   map[int]sim.Message
 }
 
 func newCalendarProc(id, total int, rounds ...int) *calendarProc {
@@ -33,10 +29,9 @@ func newCalendarProc(id, total int, rounds ...int) *calendarProc {
 	return p
 }
 
-// next returns this round's message and the earliest future scripted round
-// (or the schedule end).
-func (p *calendarProc) next(round int) (sim.Message, int) {
-	p.driven = append(p.driven, round)
+// Broadcast returns this round's message and the earliest future scripted
+// round (or the schedule end).
+func (p *calendarProc) Broadcast(round int) (sim.Message, int) {
 	m := p.script[round]
 	for r := round + 1; r < p.total; r++ {
 		if p.script[r] != nil {
@@ -44,16 +39,6 @@ func (p *calendarProc) next(round int) (sim.Message, int) {
 		}
 	}
 	return m, p.total
-}
-
-func (p *calendarProc) Broadcast(round int) (sim.Message, int) {
-	p.exactCalls++
-	return p.next(round)
-}
-
-func (p *calendarProc) BroadcastLeap(round int) (sim.Message, int) {
-	p.leapCalls++
-	return p.next(round)
 }
 
 func (p *calendarProc) Receive(round int, msg sim.Message) {
@@ -65,7 +50,7 @@ func (p *calendarProc) Output() int { return 0 }
 func (p *calendarProc) Done() bool  { return false }
 func (p *calendarProc) Rounds() int { return p.total }
 
-var _ sim.LeapBroadcaster = (*calendarProc)(nil)
+var _ sim.Process = (*calendarProc)(nil)
 
 // roundLog records which rounds the engine actually executed.
 type roundLog struct{ rounds []int }
@@ -86,36 +71,6 @@ func (a *skipLog) Reach(round int, _ []bool, _ []int, _, _ []int32) []int {
 	return nil
 }
 func (a *skipLog) Skip(round, rounds int) { a.skips = append(a.skips, [2]int{round, rounds}) }
-
-// TestLeapPrefersBroadcastLeap: with Config.Leap the engine drives
-// BroadcastLeap only; without it, Broadcast only — on the same dual-contract
-// process.
-func TestLeapPrefersBroadcastLeap(t *testing.T) {
-	for _, leap := range []bool{false, true} {
-		net := lineNet(t)
-		procs := make([]sim.Process, net.N())
-		cps := make([]*calendarProc, net.N())
-		for v := range procs {
-			cps[v] = newCalendarProc(v+1, 10, v*2)
-			procs[v] = cps[v]
-		}
-		r, err := sim.NewRunner(sim.Config{Net: net, Processes: procs, MaxRounds: 10, Leap: leap})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.Run(); err != nil {
-			t.Fatal(err)
-		}
-		for v, p := range cps {
-			if leap && (p.leapCalls == 0 || p.exactCalls != 0) {
-				t.Errorf("leap: node %d drove leap=%d exact=%d, want leap only", v, p.leapCalls, p.exactCalls)
-			}
-			if !leap && (p.exactCalls == 0 || p.leapCalls != 0) {
-				t.Errorf("exact: node %d drove leap=%d exact=%d, want Broadcast only", v, p.leapCalls, p.exactCalls)
-			}
-		}
-	}
-}
 
 // TestLeapJumpsQuietStretch: when every process is parked, the clock jumps
 // to the earliest wake. Executed rounds are exactly the scripted ones plus

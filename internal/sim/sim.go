@@ -13,6 +13,11 @@
 // The engine is deterministic for a fixed seed: one sequential round loop
 // drives every execution.
 //
+// The leap engine (Config.Leap) is that loop plus one clock jump: when every
+// awake process sleeps, the round advances to the earliest wake in one step.
+// It drives the same Broadcast calls, so every process draws the exact coin
+// stream; it only skips rounds in which nobody can broadcast.
+//
 // Performance: the runner maintains an active set of processes that are not
 // yet Done, a wake calendar of sleeping processes, and a monotone undecided
 // scan pointer, so each round costs O(runnable + hits) engine work rather
@@ -102,12 +107,8 @@ type Message interface {
 //     one coin).
 //
 // A protocol may use both rules, one per stretch of its schedule, as the
-// banned-list CCDS does.
-//
-// Both rules bind the exact engine only. The leap engine (Config.Leap)
-// drives LeapBroadcaster processes through BroadcastLeap instead, whose
-// contract abandons bit-identity and therefore owes nothing for skipped
-// rounds.
+// banned-list CCDS does. Both engines (see Config.Leap) drive Broadcast, so
+// every process draws the same coin stream under either.
 type Process interface {
 	// Broadcast is called at the start of each round in which the
 	// process is awake and returns the message to transmit (nil to stay
@@ -169,18 +170,17 @@ type Config struct {
 	MaxRounds int
 	// Observer, if non-nil, is invoked after every round.
 	Observer Observer
-	// Leap enables the leap-ahead event engine: processes implementing
-	// LeapBroadcaster are driven through BroadcastLeap (which samples the
-	// next broadcast round geometrically instead of flipping a coin per
-	// round), and whenever every awake process is parked in the wake
-	// calendar the round clock jumps straight to the earliest scheduled
-	// wake. Skipped rounds execute trivially (no broadcasters, no
-	// deliveries) and still count in Stats.Rounds, but the Observer is not
-	// invoked for them and stateful adversaries see one Skip call (see
-	// adversary.Skipper) instead of per-round Reach calls. The execution is
-	// statistically equivalent to the exact engine — identical in
-	// distribution, NOT bit-identical, because the PCG streams are consumed
-	// in a different order.
+	// Leap enables the leap engine: whenever every awake process is
+	// parked in the wake calendar, the round clock jumps straight to the
+	// earliest scheduled wake. Processes are driven through Broadcast as
+	// under the exact engine, so they draw the same coins. Skipped rounds
+	// execute trivially (no broadcasters, no deliveries) and still count in
+	// Stats.Rounds, but the Observer is not invoked for them, GrayActivations
+	// does not count them, and a stateful adversary sees one Skip call (see
+	// adversary.Skipper) instead of per-round Reach calls. So the execution
+	// equals the exact engine's except under an adversary whose Skip
+	// realizes a different state than the skipped Reach calls would (the
+	// bursty one), where it is equal in distribution only.
 	Leap bool
 }
 
@@ -212,10 +212,8 @@ type Runner struct {
 	deadline       []int
 	firstUndecided int
 	// Sleep bookkeeping: sleepUntil[v] is the round before which
-	// Broadcast calls are skipped. leapers[v] is non-nil for
-	// LeapBroadcaster processes when Config.Leap is set.
+	// Broadcast calls are skipped.
 	sleepUntil []int
-	leapers    []LeapBroadcaster
 	// Wake calendar: runnable is the awake subset of active (ascending);
 	// sleeping processes sit in a min-heap of (wakeRound, node) pairs and
 	// are merged back when their round arrives, so a round's broadcast
@@ -236,30 +234,6 @@ type Runner struct {
 // total round count (see the Process contract).
 type fixedLength interface {
 	Rounds() int
-}
-
-// LeapBroadcaster is the optional Process extension the leap engine
-// (Config.Leap) drives in place of Broadcast. Like Broadcast it returns the
-// round's message together with a wake round w such that the process is
-// guaranteed silent for every round in (round, w) — but the guarantee is
-// distributional, not bit-identical: BroadcastLeap may sample its next
-// broadcast round directly from the geometric distribution of the per-round
-// coin's first success instead of flipping the coin each round, so skipped
-// rounds owe no randomness at all (no draws, no pre-consumption). The law of
-// the execution must equal the exact engine's; the realized trajectory for a
-// fixed seed generally differs.
-//
-// A pre-sampled broadcast round may be invalidated by a reception that
-// changes the process's state before the round arrives (a knockout, a stop
-// order). Discarding the stale sample and re-deciding from the current state
-// at the wake round preserves the law: the discarded coins correspond to
-// stream positions the exact schedule would never have consumed after the
-// same state change, and the geometric distribution is memoryless. As with
-// Broadcast, a reception may postpone the next broadcast but never move it
-// earlier than the declared wake round.
-type LeapBroadcaster interface {
-	Process
-	BroadcastLeap(round int) (Message, int)
 }
 
 // NewRunner validates the configuration and returns a ready Runner.
@@ -296,9 +270,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 		deadline:   make([]int, n),
 		sleepUntil: make([]int, n),
 	}
-	if cfg.Leap {
-		r.leapers = make([]LeapBroadcaster, n)
-	}
 	r.uniformDeadline = -1
 	for v, p := range cfg.Processes {
 		r.deadline[v] = -1
@@ -310,13 +281,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 			r.uniformDeadline = r.deadline[v]
 		case r.uniformDeadline != r.deadline[v]:
 			r.uniformDeadline = -1
-		}
-		if cfg.Leap {
-			// Leap mode prefers the distribution-preserving fast path;
-			// processes without one keep their exact Broadcast.
-			if lb, ok := p.(LeapBroadcaster); ok {
-				r.leapers[v] = lb
-			}
 		}
 		if !p.Done() {
 			r.runnable = append(r.runnable, int32(v))
@@ -657,17 +621,10 @@ func (r *Runner) collectBroadcasts() {
 	}
 }
 
-// broadcast asks the process at node v for its round message — through
-// BroadcastLeap when the leap engine drives it — and records a declared
-// sleep so collectBroadcasts parks the process until its wake round.
+// broadcast asks the process at node v for its round message and records a
+// declared sleep so collectBroadcasts parks the process until its wake round.
 func (r *Runner) broadcast(v int) Message {
-	var m Message
-	var wake int
-	if r.leapers != nil && r.leapers[v] != nil {
-		m, wake = r.leapers[v].BroadcastLeap(r.round)
-	} else {
-		m, wake = r.cfg.Processes[v].Broadcast(r.round)
-	}
+	m, wake := r.cfg.Processes[v].Broadcast(r.round)
 	if m == nil && wake > r.round+1 {
 		// Never sleep past a fixed-length process's final round:
 		// driving it there flips Done for outside observers.
