@@ -28,15 +28,12 @@ detvet:
 
 # fuzz-smoke runs the fuzzers briefly — long enough to replay the corpus
 # and shake the mutator, short enough for CI: the spec-canonicalization
-# fuzzer, the exact-vs-leap differential engine harness (identical outputs
-# under stateless adversaries, structural invariants under bursty), the
-# exact engine against the naive whole-execution reference, hostile POST
-# bodies against the job and sweep submission endpoints, hostile journals
-# replayed by a booting server, and the memoized MIS phase of the CCDS
-# family against the single-runner reference.
+# fuzzer, the engine against the naive whole-execution reference, hostile
+# POST bodies against the job and sweep submission endpoints, hostile
+# journals replayed by a booting server, and the memoized MIS phase of the
+# CCDS family against the single-runner reference.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSpecCanonicalization -fuzztime 30s ./internal/scenario
-	$(GO) test -run '^$$' -fuzz FuzzLeapDifferential -fuzztime 30s ./internal/harness
 	$(GO) test -run '^$$' -fuzz FuzzRunnerMatchesReference -fuzztime 30s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzSubmitBodies -fuzztime 30s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 30s ./internal/server

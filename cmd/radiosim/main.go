@@ -62,7 +62,6 @@ func run() error {
 		bits      = flag.Int("b", 512, "message size bound b in bits")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		adv       = flag.String("adversary", "collision", "adversary: collision | none | full | uniform")
-		engine    = flag.String("engine", "exact", "execution engine: exact | leap")
 		showMap   = flag.Bool("map", false, "render the network and outputs as ASCII art")
 		doTrace   = flag.Bool("trace", false, "print aggregate activity statistics")
 		specPath  = flag.String("spec", "", "run a scenario spec file instead (\"-\" = stdin)")
@@ -116,13 +115,6 @@ func run() error {
 		net.N(), net.Delta(), net.UnreliableEdges(), net.Tau())
 
 	opts := dualradio.RunOptions{Seed: *seed, MessageBits: *bits, CollectTrace: *doTrace}
-	switch *engine {
-	case "", "exact":
-	case "leap":
-		opts.Leap = true
-	default:
-		return fmt.Errorf("unknown engine %q (want exact|leap)", *engine)
-	}
 	switch *adv {
 	case "none":
 		opts.Adversary = dualradio.AdversaryNone

@@ -149,11 +149,6 @@ type RunOptions struct {
 	// CollectTrace aggregates per-node and per-round activity during the
 	// run; the summary is reported in Result.TraceSummary.
 	CollectTrace bool
-	// Leap selects the leap engine: the clock jumps over stretches in
-	// which every process sleeps. Processes draw the exact coin stream, so
-	// the Result equals the default exact engine's, except that a
-	// CollectTrace summary covers only the rounds executed.
-	Leap bool
 }
 
 func (nw *Network) scenario(opts RunOptions) *harness.Scenario {
@@ -177,7 +172,6 @@ func (nw *Network) scenario(opts RunOptions) *harness.Scenario {
 		Params: opts.Params,
 		Seed:   opts.Seed,
 		B:      opts.MessageBits,
-		Leap:   opts.Leap,
 	}
 	if opts.CollectTrace {
 		s.Observer = trace.NewRecorder(nw.N())

@@ -32,20 +32,6 @@ type Adversary interface {
 	Reach(round int, bcast []bool, broadcasters []int, relCnt []int32, hitNodes []int32) []int
 }
 
-// Skipper is an optional extension for stateful adversaries driven by the
-// leap engine (sim.Config.Leap). When the engine jumps over a stretch of
-// rounds in which no process broadcasts, it calls Skip(round, rounds) instead
-// of issuing the per-round Reach calls for rounds [round, round+rounds):
-// the adversary must advance any per-round internal state (burst state
-// machines, decay clocks) across the stretch so its later Reach calls have
-// the same distribution an exact per-round drive would produce. Stateless
-// adversaries and adversaries that consume no randomness on broadcast-free
-// rounds need not implement it. The exact engine never calls Skip.
-type Skipper interface {
-	Adversary
-	Skip(round, rounds int)
-}
-
 // None never activates unreliable edges: communication happens on G alone.
 // With G = G' this is the classic radio network model.
 type None struct{}

@@ -61,28 +61,6 @@ func (b *Bursty) duration(up bool) int {
 	return d
 }
 
-// Skip implements Skipper for the leap engine: it advances every edge's
-// burst state machine across a stretch of broadcast-free rounds in one step.
-// The recurrence is the per-round advance in Reach — subtract the elapsed
-// rounds from the remaining burst length, then toggle and redraw durations
-// until the balance is positive — so each edge's state after Skip has the
-// law the skipped Reach calls would give it. It is not the same draw for
-// draw: Skip finishes one edge's durations before the next edge's, while
-// Reach interleaves the edges round by round, so with two or more gray edges
-// the edges receive different draws. Every duration comes from fresh
-// draws either way, which is why the law holds. With one gray edge the
-// orders coincide and the state is bit-identical.
-func (b *Bursty) Skip(_, rounds int) {
-	for i := range b.gray {
-		rem := b.remaining[i] - rounds
-		for rem <= 0 {
-			b.up[i] = !b.up[i]
-			rem += b.duration(b.up[i])
-		}
-		b.remaining[i] = rem
-	}
-}
-
 // Reach implements Adversary.
 func (b *Bursty) Reach(_ int, bcast []bool, _ []int, _, _ []int32) []int {
 	b.reuse = b.reuse[:0]

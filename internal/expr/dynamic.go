@@ -1,8 +1,6 @@
 package expr
 
 import (
-	"math/rand/v2"
-
 	"dualradio/internal/core"
 	"dualradio/internal/detector"
 	"dualradio/internal/harness"
@@ -33,8 +31,7 @@ func E7DynamicCCDS(cfg Config) (*Result, error) {
 		}
 		// Pre-stabilization detector: 2 mistakes per node (a link detector
 		// still being fooled by bursty gray-zone links).
-		drng := rand.New(rand.NewPCG(uint64(seed+1), 0xD15C0))
-		noisy := detector.TauComplete(s.Net, s.Asg, 2, detector.PlaceGrayFirst, drng)
+		noisy := s.NoisyDetector(2)
 		clean := s.Det
 		// δ_CDS is taken as the round count a one-shot CCDS run reports:
 		// the fixed schedule plus its terminal round, one more than

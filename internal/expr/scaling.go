@@ -2,7 +2,6 @@ package expr
 
 import (
 	"math"
-	"math/rand/v2"
 
 	"dualradio/internal/core"
 	"dualradio/internal/harness"
@@ -154,12 +153,7 @@ func E8AsyncMIS(cfg Config) (*Result, error) {
 		s.Det = nil
 		s.Adv = nil
 		s.MaxRounds = 1 << 19
-		wake := make([]int, n)
-		wrng := rand.New(rand.NewPCG(uint64(seed+1), 0x3A3E))
-		for v := range wake {
-			wake[v] = wrng.IntN(1000)
-		}
-		out, err := s.RunAsyncMIS(wake, core.FilterNone)
+		out, err := s.RunAsyncMIS(s.UniformWakes(1000), core.FilterNone)
 		if err != nil {
 			return trial{}, err
 		}

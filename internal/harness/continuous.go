@@ -64,15 +64,6 @@ func (s *Scenario) RunContinuousCCDS(dyn detector.Dynamic, periods int, checkpoi
 	}
 	out := &ContinuousOutcome{Period: period, Checkpoints: make(map[int][]int)}
 	pending := append([]int(nil), checkpoints...)
-	// Under the leap engine the clock can jump over broadcast-free
-	// stretches, so a checkpoint round may never be observed exactly. The
-	// skipped rounds cannot change committed outputs (no broadcasts, hence
-	// no receptions and no period boundaries), so a checkpoint inside a
-	// jumped stretch reports the snapshot taken before the jump.
-	var prev []int
-	if s.Leap {
-		prev = committedOutputs(procs)
-	}
 	for runner.Step() {
 		r := runner.Round()
 		for i := 0; i < len(pending); i++ {
@@ -80,16 +71,9 @@ func (s *Scenario) RunContinuousCCDS(dyn detector.Dynamic, periods int, checkpoi
 			if c > r {
 				continue
 			}
-			if c == r || prev == nil {
-				out.Checkpoints[c] = committedOutputs(procs)
-			} else {
-				out.Checkpoints[c] = prev
-			}
+			out.Checkpoints[c] = committedOutputs(procs)
 			pending = append(pending[:i], pending[i+1:]...)
 			i--
-		}
-		if s.Leap && len(pending) > 0 {
-			prev = committedOutputs(procs)
 		}
 	}
 	if err := runner.Err(); err != nil {

@@ -52,13 +52,6 @@ type Scenario struct {
 	// schedule (Rounds, Broadcasts, ...) do differ; leave this off when
 	// those matter.
 	StopWhenDecided bool
-	// Leap selects the leap engine (sim.Config.Leap): the clock jumps over
-	// stretches in which every process sleeps. Processes draw the exact
-	// coin stream, so the Outcome equals the exact engine's, except that
-	// GrayActivations under Full skips the jumped rounds, an Observer is not
-	// called for them, and under Bursty the jumped rounds advance its links
-	// through Skip, which is equal to them in distribution only.
-	Leap bool
 	// Observer, if non-nil, receives per-round callbacks.
 	Observer sim.Observer
 	// Shared, if non-nil, is the cached instance backing Net/Asg/Det.
@@ -101,6 +94,35 @@ func (s *Scenario) RngFor(v int) *rand.Rand {
 // stream returns the PCG stream id of the process at node v.
 func (s *Scenario) stream(v int) uint64 {
 	return uint64(s.Asg.ID(v))*0x9e3779b97f4a7c15 + 0x1234567
+}
+
+// PCG stream ids of the per-trial auxiliary draws below.
+const (
+	wakeStream  = 0x3A3E
+	noisyStream = 0xD15C0
+)
+
+// UniformWakes draws every process's wake round uniformly from [0, window)
+// on the trial's wake stream: the asynchronous start of experiment E8 and
+// of an async-mis spec. A window below 1 wakes every process at round 0.
+func (s *Scenario) UniformWakes(window int) []int {
+	wake := make([]int, s.Net.N())
+	if window > 0 {
+		rng := rand.New(rand.NewPCG(s.Seed, wakeStream))
+		for v := range wake {
+			wake[v] = rng.IntN(window)
+		}
+	}
+	return wake
+}
+
+// NoisyDetector returns a τ-complete detector with up to mistakes false
+// ids per node, placed gray-first from the trial's detector stream: the
+// pre-stabilization detector of experiment E7 and of a continuous-ccds
+// spec.
+func (s *Scenario) NoisyDetector(mistakes int) *detector.Detector {
+	rng := rand.New(rand.NewPCG(s.Seed, noisyStream))
+	return detector.TauComplete(s.Net, s.Asg, mistakes, detector.PlaceGrayFirst, rng)
 }
 
 func (s *Scenario) validate() error {
@@ -171,7 +193,6 @@ func (s *Scenario) config(procs []sim.Process, maxRounds int) sim.Config {
 		MessageBits: s.B,
 		MaxRounds:   maxRounds,
 		Observer:    s.Observer,
-		Leap:        s.Leap,
 	}
 }
 

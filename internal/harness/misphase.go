@@ -10,8 +10,8 @@ import (
 
 // The MIS phase. The Section 5 CCDS and its naive baseline open with the
 // Section 4 MIS as a subroutine, and on one instance, seed and adversary
-// that opening is bit for bit the execution a standalone MIS run performs,
-// under either engine. runFixed splits both at the MIS schedule end (the
+// that opening is bit for bit the execution a standalone MIS run performs.
+// runFixed splits both at the MIS schedule end (the
 // cut): stage 1 is a plain MIS execution up to the cut, stage 2 resumes the
 // algorithm's own processes there. The stage-1 outcome is memoized on the
 // shared Instance, so a sweep's mis and ccds children, or a b axis over one
@@ -22,12 +22,7 @@ import (
 // CCDS-family output is still undecided (the search's first round sets
 // them). The memo is sound because, given the instance, the key below
 // fixes every coin and every reception of the phase; it is used only when
-// misPhaseKey says so. The engine stays out of the key: both drive the same
-// Broadcast calls, and the leap engine never jumps inside a full MIS
-// schedule, since every MIS round has a runnable process. A member
-// re-announces every round; before any member exists, the last contender
-// to broadcast in an epoch is still active, or nobody broadcast and every
-// contender is.
+// misPhaseKey says so.
 
 // advKind names an adversary that keeps no per-round state, so one MIS
 // phase under it serves every execution under the same kind. Full and

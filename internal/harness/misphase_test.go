@@ -16,14 +16,13 @@ import (
 type phaseRun struct {
 	algo string // "mis", "ccds" or "baseline"
 	adv  string // "none", "full", "collision", "uniform" or "bursty"
-	leap bool
 	obs  bool   // watch the run with an Observer
 	b    int    // message bound of the CCDS family
 	seed uint64 // process seed
 }
 
 func (r phaseRun) String() string {
-	return fmt.Sprintf("%s/%s/leap=%v/obs=%v/b=%d/seed=%d", r.algo, r.adv, r.leap, r.obs, r.b, r.seed)
+	return fmt.Sprintf("%s/%s/obs=%v/b=%d/seed=%d", r.algo, r.adv, r.obs, r.b, r.seed)
 }
 
 // scenario returns the run's scenario on inst with a fresh adversary; the
@@ -44,7 +43,7 @@ func (r phaseRun) scenario(inst *Instance) *Scenario {
 	}
 	s := &Scenario{
 		Net: inst.Net, Asg: inst.Asg, Det: inst.Det, Adv: adv,
-		Seed: r.seed, Leap: r.leap, Shared: inst,
+		Seed: r.seed, Shared: inst,
 	}
 	if r.algo != "mis" {
 		s.B = r.b
@@ -241,55 +240,46 @@ func checkMemo(t testing.TB, o *misOutcome, s *Scenario, r phaseRun) {
 // two-stage CCDS family and the memoized MIS phase: every run, on every
 // path, must equal the single-runner reference exactly. On each fresh
 // instance the first eligible run fills the memo (cold), its siblings under
-// the same key read it (warm) in both orders, as does a sibling under the
-// other engine, and runs under another adversary kind or seed run inline
-// beside it, as do the stateful adversaries and Observer runs.
+// the same key read it (warm) in both orders, and runs under another
+// adversary kind or seed run inline beside it, as do the stateful
+// adversaries and Observer runs.
 func TestMISPhaseReuseMatchesReference(t *testing.T) {
 	paths := map[string]int{}
 	for _, shape := range []InstanceSpec{{N: 24, GrayProb: 0.15}, {N: 48, GrayProb: 0.4}} {
 		for _, adv := range []string{"none", "full", "collision"} {
-			for _, leap := range []bool{false, true} {
-				for _, misFirst := range []bool{true, false} {
-					inst, err := BuildInstance(InstanceSpec{N: shape.N, GrayProb: shape.GrayProb, Seed: 7})
-					if err != nil {
-						t.Fatal(err)
+			for _, misFirst := range []bool{true, false} {
+				inst, err := BuildInstance(InstanceSpec{N: shape.N, GrayProb: shape.GrayProb, Seed: 7})
+				if err != nil {
+					t.Fatal(err)
+				}
+				base := phaseRun{adv: adv, b: 512, seed: 3}
+				order := []string{"ccds", "mis", "baseline"}
+				if misFirst {
+					order = []string{"mis", "ccds", "baseline"}
+				}
+				for i, algo := range order {
+					r := base
+					r.algo = algo
+					want := "warm"
+					if i == 0 {
+						want = "cold"
 					}
-					base := phaseRun{adv: adv, leap: leap, b: 512, seed: 3}
-					order := []string{"ccds", "mis", "baseline"}
-					if misFirst {
-						order = []string{"mis", "ccds", "baseline"}
+					if p := checkPhaseRun(t, inst, r); p != want {
+						t.Fatalf("%v: took the %s path, want %s", r, p, want)
 					}
-					for i, algo := range order {
-						r := base
-						r.algo = algo
-						want := "warm"
-						if i == 0 {
-							want = "cold"
-						}
-						if p := checkPhaseRun(t, inst, r); p != want {
-							t.Fatalf("%v: took the %s path, want %s", r, p, want)
-						}
-						paths[want]++
+					paths[want]++
+				}
+				// The message bound stays out of the key.
+				small := base
+				small.algo, small.b = "ccds", 160
+				paths[checkPhaseRun(t, inst, small)]++
+				// Every other key runs inline beside the memoized one.
+				for _, o := range []phaseRun{{algo: "mis", adv: otherAdv(adv), seed: 3},
+					{algo: "ccds", adv: adv, b: 512, seed: 4}} {
+					if p := checkPhaseRun(t, inst, o); p != "inline" {
+						t.Fatalf("%v: took the %s path beside key %+v", o, p, inst.mis.key)
 					}
-					// The message bound stays out of the key.
-					small := base
-					small.algo, small.b = "ccds", 160
-					paths[checkPhaseRun(t, inst, small)]++
-					// The engine stays out of the key too.
-					other := base
-					other.algo, other.leap = "ccds", !leap
-					if p := checkPhaseRun(t, inst, other); p != "warm" {
-						t.Fatalf("%v: took the %s path beside key %+v", other, p, inst.mis.key)
-					}
-					paths["warm"]++
-					// Every other key runs inline beside the memoized one.
-					for _, o := range []phaseRun{{algo: "mis", adv: otherAdv(adv), leap: leap, seed: 3},
-						{algo: "ccds", adv: adv, leap: leap, b: 512, seed: 4}} {
-						if p := checkPhaseRun(t, inst, o); p != "inline" {
-							t.Fatalf("%v: took the %s path beside key %+v", o, p, inst.mis.key)
-						}
-						paths["inline"]++
-					}
+					paths["inline"]++
 				}
 			}
 		}
@@ -298,18 +288,16 @@ func TestMISPhaseReuseMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, leap := range []bool{false, true} {
-			for _, algo := range []string{"mis", "ccds", "baseline"} {
-				for _, r := range []phaseRun{
-					{algo: algo, adv: "uniform", leap: leap, b: 512, seed: 5},
-					{algo: algo, adv: "bursty", leap: leap, b: 512, seed: 5},
-					{algo: algo, adv: "collision", leap: leap, obs: true, b: 512, seed: 5},
-				} {
-					if p := checkPhaseRun(t, inst, r); p != "inline" {
-						t.Fatalf("%v: took the %s path", r, p)
-					}
-					paths["inline"]++
+		for _, algo := range []string{"mis", "ccds", "baseline"} {
+			for _, r := range []phaseRun{
+				{algo: algo, adv: "uniform", b: 512, seed: 5},
+				{algo: algo, adv: "bursty", b: 512, seed: 5},
+				{algo: algo, adv: "collision", obs: true, b: 512, seed: 5},
+			} {
+				if p := checkPhaseRun(t, inst, r); p != "inline" {
+					t.Fatalf("%v: took the %s path", r, p)
 				}
+				paths["inline"]++
 			}
 		}
 		if inst.mis != nil {
@@ -411,17 +399,16 @@ func TestMISPhaseConcurrentSiblings(t *testing.T) {
 }
 
 // FuzzMISPhaseReuse fuzzes the memoized MIS phase against the
-// single-runner reference: n, gray probability, seed, adversary kind,
-// engine and the order of two siblings on one fresh instance. Each run must
-// equal the reference exactly, whether it filled the memo, read it or ran
-// inline.
+// single-runner reference: n, gray probability, seed, adversary kind and
+// the order of two siblings on one fresh instance. Each run must equal the
+// reference exactly, whether it filled the memo, read it or ran inline.
 func FuzzMISPhaseReuse(f *testing.F) {
-	f.Add(uint8(24), uint8(40), uint64(1), uint8(2), false, uint8(0))
-	f.Add(uint8(40), uint8(100), uint64(7), uint8(1), true, uint8(1))
-	f.Add(uint8(16), uint8(10), uint64(3), uint8(0), false, uint8(2))
-	f.Add(uint8(32), uint8(80), uint64(5), uint8(3), true, uint8(3))
-	f.Add(uint8(20), uint8(60), uint64(9), uint8(4), false, uint8(4))
-	f.Fuzz(func(t *testing.T, rawN, rawGray uint8, seed uint64, adv uint8, leap bool, order uint8) {
+	f.Add(uint8(24), uint8(40), uint64(1), uint8(2), uint8(0))
+	f.Add(uint8(40), uint8(100), uint64(7), uint8(1), uint8(1))
+	f.Add(uint8(16), uint8(10), uint64(3), uint8(0), uint8(2))
+	f.Add(uint8(32), uint8(80), uint64(5), uint8(3), uint8(3))
+	f.Add(uint8(20), uint8(60), uint64(9), uint8(4), uint8(4))
+	f.Fuzz(func(t *testing.T, rawN, rawGray uint8, seed uint64, adv uint8, order uint8) {
 		n := 8 + int(rawN)%41 // [8, 48]
 		inst, err := BuildInstance(InstanceSpec{N: n, GrayProb: float64(rawGray%128) / 255, Seed: seed})
 		if err != nil {
@@ -431,7 +418,7 @@ func FuzzMISPhaseReuse(f *testing.F) {
 		pairs := [][2]string{{"mis", "ccds"}, {"ccds", "mis"}, {"mis", "baseline"}, {"baseline", "ccds"}, {"ccds", "ccds"}}
 		pair := pairs[int(order)%len(pairs)]
 		for _, algo := range pair {
-			checkPhaseRun(t, inst, phaseRun{algo: algo, adv: kinds[int(adv)%len(kinds)], leap: leap, b: 512, seed: seed})
+			checkPhaseRun(t, inst, phaseRun{algo: algo, adv: kinds[int(adv)%len(kinds)], b: 512, seed: seed})
 		}
 	})
 }

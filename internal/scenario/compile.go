@@ -11,15 +11,11 @@ import (
 	"dualradio/internal/verify"
 )
 
-// PCG stream ids for the per-trial auxiliary randomness. wakeStream and
-// dynStream match the experiment suite (E8's wake draw, E7's noisy detector
-// placement), so specs that mirror those experiments reproduce them
-// bit-for-bit; advStream is new with this layer.
-const (
-	advStream  = 0xAD5E
-	wakeStream = 0x3A3E
-	dynStream  = 0xD15C0
-)
+// advStream is the PCG stream id of a trial's stochastic adversary. The
+// other per-trial auxiliary draws (async wake rounds, the noisy detector)
+// are the harness's, shared with the experiment suite, so specs that
+// mirror those experiments reproduce them bit-for-bit.
+const advStream = 0xAD5E
 
 // Compiled is a validated, canonicalized spec lowered onto the harness
 // layer, ready to build per-trial scenarios. It is immutable and safe for
@@ -95,7 +91,6 @@ func (c *Compiled) Scenario(trial int) (*harness.Scenario, error) {
 		B:               sp.B,
 		MaxRounds:       sp.MaxRounds,
 		StopWhenDecided: sp.StopWhenDecided,
-		Leap:            sp.Engine == EngineLeap,
 		Shared:          inst,
 	}
 	if sp.Algorithm == AlgoAsyncMIS {
@@ -211,16 +206,7 @@ func fillOutcome(res *TrialResult, inMIS []bool, rounds, decided int) {
 // trial's wake stream, classic-model reception, validity against the
 // reliable graph G.
 func (c *Compiled) runAsyncTrial(s *harness.Scenario, res TrialResult) (TrialResult, error) {
-	n := s.Net.N()
-	wake := make([]int, n)
-	wrng := rand.New(rand.NewPCG(res.Seed, wakeStream))
-	maxDelay := c.spec.Wake.MaxDelay
-	if maxDelay > 0 {
-		for v := range wake {
-			wake[v] = wrng.IntN(maxDelay)
-		}
-	}
-	out, err := s.RunAsyncMIS(wake, core.FilterNone)
+	out, err := s.RunAsyncMIS(s.UniformWakes(c.spec.Wake.MaxDelay), core.FilterNone)
 	if err != nil {
 		return res, err
 	}
@@ -255,10 +241,8 @@ func (c *Compiled) runContinuousTrial(s *harness.Scenario, res TrialResult) (Tri
 	}
 	stabilize := period + period/2
 	checkpoint := stabilize + 2*period
-	drng := rand.New(rand.NewPCG(res.Seed, dynStream))
-	noisy := detector.TauComplete(s.Net, s.Asg, sp.Dynamic.Mistakes, detector.PlaceGrayFirst, drng)
 	dyn := detector.NewSchedule(
-		detector.ScheduleStep{Round: 0, Detector: noisy},
+		detector.ScheduleStep{Round: 0, Detector: s.NoisyDetector(sp.Dynamic.Mistakes)},
 		detector.ScheduleStep{Round: stabilize, Detector: s.Det},
 	)
 	out, err := s.RunContinuousCCDS(dyn, sp.Dynamic.Periods, []int{checkpoint})

@@ -8,6 +8,9 @@ import (
 // TestEngineCanonicalDefault: "exact" is the canonical default — spelled
 // out or omitted, the spec hashes identically to one that predates the
 // engine field, so no stored result is orphaned by the field's existence.
+// "leap" is a label that keeps its own hash, and is rejected under the
+// bursty adversary, where the retired leap engine's Results were not the
+// exact engine's.
 func TestEngineCanonicalDefault(t *testing.T) {
 	base := Spec{Algorithm: AlgoMIS, Network: NetworkSpec{N: 64}}
 	spelled := base
@@ -22,93 +25,22 @@ func TestEngineCanonicalDefault(t *testing.T) {
 	leap := base
 	leap.Engine = EngineLeap
 	if got := mustHash(t, leap); got == hBase {
-		t.Error("leap engine hashes identically to exact; the engines are not bit-identical and must not share cache entries")
+		t.Error("leap label hashes identically to exact; stored leap Results would change hash")
 	}
 	if err := leap.Validate(); err != nil {
-		t.Errorf("leap engine rejected: %v", err)
+		t.Errorf("leap label rejected: %v", err)
+	}
+	bursty := leap
+	bursty.Adversary = AdversarySpec{Kind: AdvBursty, MeanUp: 4, MeanDown: 4}
+	if err := bursty.Validate(); err == nil || !strings.Contains(err.Error(), `engine "leap"`) {
+		t.Errorf("leap under bursty: got %v, want an error naming the engine", err)
+	}
+	if _, err := Compile(bursty); err == nil {
+		t.Error("leap under bursty compiled")
 	}
 	bad := base
 	bad.Engine = "warp"
 	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "engine") {
 		t.Errorf("unknown engine validated: %v", err)
-	}
-}
-
-// TestEngineCompileThreadsLeap: the compiled trial scenario carries the
-// leap flag exactly when the spec selects the leap engine.
-func TestEngineCompileThreadsLeap(t *testing.T) {
-	for _, engine := range []string{"", EngineExact, EngineLeap} {
-		comp, err := Compile(Spec{Algorithm: AlgoMIS, Network: NetworkSpec{N: 16}, Engine: engine})
-		if err != nil {
-			t.Fatalf("engine %q: %v", engine, err)
-		}
-		s, err := comp.Scenario(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := engine == EngineLeap; s.Leap != want {
-			t.Errorf("engine %q: scenario Leap=%v want %v", engine, s.Leap, want)
-		}
-	}
-}
-
-// TestSweepEngineAxis: the engine axis expands deterministically, children
-// hash distinctly across engines, and exact/leap pairs of one workload sit
-// adjacently (engine is the innermost axis).
-func TestSweepEngineAxis(t *testing.T) {
-	sw := SweepSpec{
-		Name: "engine-sweep",
-		Base: Spec{Algorithm: AlgoMIS, Network: NetworkSpec{N: 32}},
-		Axes: SweepAxes{
-			N:      &Axis{Values: []float64{32, 64}},
-			Engine: []string{EngineExact, EngineLeap},
-		},
-	}
-	exp1, err := ExpandSweep(sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp2, err := ExpandSweep(sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exp1.Hash() != exp2.Hash() {
-		t.Error("sweep expansion not deterministic")
-	}
-	if len(exp1.Children) != 4 {
-		t.Fatalf("expanded to %d children, want 4 (2 sizes × 2 engines)", len(exp1.Children))
-	}
-	seen := map[string]bool{}
-	for _, c := range exp1.Children {
-		if seen[c.Hash()] {
-			t.Errorf("duplicate child hash %s; exact and leap must hash distinctly", c.Hash())
-		}
-		seen[c.Hash()] = true
-	}
-	// Engine is the innermost axis: children alternate exact, leap within
-	// each size, and the spelled-out exact canonicalizes to the empty string.
-	for i, c := range exp1.Children {
-		wantLeap := i%2 == 1
-		sp := c.Spec()
-		if wantLeap && sp.Engine != EngineLeap {
-			t.Errorf("child %d: engine %q, want leap in odd slots", i, sp.Engine)
-		}
-		if !wantLeap && sp.Engine != "" {
-			t.Errorf("child %d: engine %q, want canonical exact (empty) in even slots", i, sp.Engine)
-		}
-		if !strings.Contains(sp.Name, "engine=") {
-			t.Errorf("child %d name %q lacks the engine coordinate", i, sp.Name)
-		}
-	}
-	// A sweep spelling the default engine explicitly expands to the same
-	// children as one omitting the axis value's spelling.
-	swDefault := sw
-	swDefault.Axes.Engine = []string{"", EngineLeap}
-	expD, err := ExpandSweep(swDefault)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if expD.Hash() != exp1.Hash() {
-		t.Error("engine axis spelling (\"\" vs \"exact\") changed the sweep hash")
 	}
 }

@@ -147,43 +147,77 @@ var presetResultGolden = map[string]string{
 	"dynamic-ccds":       "b28f5aacc39bebf166bc9d7ce56916d04c386261956914c23cbe6db2ecc56e75",
 }
 
-// TestPresetResultsGolden runs every preset under engine "exact" at 1 and 3
-// trial workers: the two Results must be byte-identical, and on amd64 the
-// sha256 of their JSON must equal the pinned value. It is the service
-// path's byte contract: a change to a protocol, the engine or the adversary
-// that alters an execution fails here even when every structural check
-// still passes. Other architectures may fuse multiply-adds, which can move
-// a generated edge or a reduced float, so the hashes are pinned where they
-// were recorded (as the experiments digest is).
+// presetLeapResultGolden pins the sha256 of every preset's Result JSON
+// under the "leap" engine label, as the retired leap engine produced them.
+// A leap Result differs from the exact one only in its spec hash, so the
+// label running the one engine must reproduce these bytes: a stored leap
+// hash still maps to the Result it always had. bursty-links has no entry,
+// because the label is rejected under the bursty adversary.
+var presetLeapResultGolden = map[string]string{
+	"mis-quick":          "0d224e78cc8077dbddefb7dcedcd2b674f58bab0eb71db5f93103ab4f02d531d",
+	"mis-midsize":        "790742343c292c5b07fedad98811902402bc9a4f15b75552befb0104ff2ab167",
+	"mis-classic":        "38ca2671b641f3426bc2522f8fb6d7c56d015c35444f5d5433ace91cb7d33350",
+	"mis-full-adversary": "14975885cb1b5bc6d5f5bbf86a344e0f7c903f587989fbc7cf685fb4ee3defe8",
+	"ccds-quick":         "be40c37d0bf15eae412a1f0d8b4b67adc7178d2ae2ad213c54a9e5f875789868",
+	"ccds-wideband":      "7090fbc9822331902264fb38e6b51fb0cdec1071074c54d1076278871c07cce1",
+	"baseline-ccds":      "3e0e8c1d1e739cef8ce4e4c1674f43ce11553a401a61e852b1b73295017dc43b",
+	"tau-ccds":           "d750a1bb217d90e1b9cf6e39f21a68ddcb164e3fe981e51d310497cfe17e1b98",
+	"async-mis":          "dcac086824f138a204609a0d44b206fa1001d33fd9652371641e5ba1691f2328",
+	"lossy-uniform":      "abdd677e3a966c7ca2d597ca134184740efba80331341b3a51f447a0ce1f77de",
+	"dynamic-ccds":       "0860c899212015257e78cdd999a8f0f108a83a4d36b06e1797f5f907c55b97e6",
+}
+
+// TestPresetResultsGolden runs every preset under engine "exact" and under
+// the "leap" label at 1 and 3 trial workers: the two Results must be
+// byte-identical, and on amd64 the sha256 of their JSON must equal the
+// pinned value. It is the service path's byte contract: a change to a
+// protocol, the engine or the adversary that alters an execution fails
+// here even when every structural check still passes. Other architectures
+// may fuse multiply-adds, which can move a generated edge or a reduced
+// float, so the hashes are pinned where they were recorded (as the
+// experiments digest is).
 func TestPresetResultsGolden(t *testing.T) {
 	presets := Presets()
 	if len(presets) != len(presetResultGolden) {
 		t.Fatalf("%d presets but %d pinned hashes", len(presets), len(presetResultGolden))
 	}
 	for _, p := range presets {
-		spec := p.Spec
-		spec.Engine = EngineExact
-		comp, err := Compile(spec)
-		if err != nil {
-			t.Fatalf("%s: %v", p.Name, err)
-		}
-		var hashes []string
-		for _, workers := range []int{1, 3} {
-			res, err := comp.RunWithOptions(context.Background(), RunOptions{Workers: workers})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", p.Name, workers, err)
+		for _, engine := range []string{EngineExact, EngineLeap} {
+			golden := presetResultGolden
+			if engine == EngineLeap {
+				golden = presetLeapResultGolden
 			}
-			raw, err := json.Marshal(res)
-			if err != nil {
-				t.Fatal(err)
+			spec := p.Spec
+			spec.Engine = engine
+			comp, err := Compile(spec)
+			want, pinned := golden[p.Name]
+			if !pinned {
+				if err == nil {
+					t.Errorf("%s under engine %q compiled, but it has no pinned Result", p.Name, engine)
+				}
+				continue
 			}
-			hashes = append(hashes, fmt.Sprintf("%x", sha256.Sum256(raw)))
-		}
-		if hashes[0] != hashes[1] {
-			t.Errorf("%s: Result sha256 %s at 1 worker but %s at 3", p.Name, hashes[0], hashes[1])
-		}
-		if want := presetResultGolden[p.Name]; runtime.GOARCH == "amd64" && hashes[0] != want {
-			t.Errorf("%s: Result sha256 %s, want %s", p.Name, hashes[0], want)
+			if err != nil {
+				t.Fatalf("%s engine %q: %v", p.Name, engine, err)
+			}
+			var hashes []string
+			for _, workers := range []int{1, 3} {
+				res, err := comp.RunWithOptions(context.Background(), RunOptions{Workers: workers})
+				if err != nil {
+					t.Fatalf("%s engine %q workers=%d: %v", p.Name, engine, workers, err)
+				}
+				raw, err := json.Marshal(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hashes = append(hashes, fmt.Sprintf("%x", sha256.Sum256(raw)))
+			}
+			if hashes[0] != hashes[1] {
+				t.Errorf("%s engine %q: Result sha256 %s at 1 worker but %s at 3", p.Name, engine, hashes[0], hashes[1])
+			}
+			if runtime.GOARCH == "amd64" && hashes[0] != want {
+				t.Errorf("%s engine %q: Result sha256 %s, want %s", p.Name, engine, hashes[0], want)
+			}
 		}
 	}
 }

@@ -64,11 +64,12 @@ const (
 	// and every process draws its coins in round order, so results are
 	// bit-identical to the pre-engine-field scenario layer.
 	EngineExact = "exact"
-	// EngineLeap is the leap engine: the clock jumps over stretches in
-	// which every process sleeps, and processes draw the exact coin stream.
-	// Its Result equals exact's except under a bursty adversary, which
-	// advances its links through a jumped stretch in law only, so it
-	// hashes as a distinct workload.
+	// EngineLeap names the retired leap engine, which jumped the clock
+	// over stretches in which every process slept. It is now a label: it
+	// runs the one engine and hashes distinctly, so a stored leap Result
+	// keeps its hash and its bytes, since under every adversary but bursty
+	// a leap Result equalled its exact sibling. Validate rejects it under
+	// bursty, whose links the jump advanced in law only.
 	EngineLeap = "leap"
 )
 
@@ -172,11 +173,10 @@ type Spec struct {
 	// is the empty string, so specs predating the policy keep their hashes;
 	// the other policies hash distinctly because they change the Result.
 	TrialRetention string `json:"trial_retention,omitempty"`
-	// Engine selects the execution engine: EngineExact (the default) or
-	// EngineLeap. The canonical spelling of EngineExact is the empty
-	// string, so every spec predating the field keeps its hash; EngineLeap
-	// hashes distinctly because a leap Result is not always the exact one
-	// (see EngineLeap).
+	// Engine labels the execution engine: EngineExact (the default) or
+	// EngineLeap, which runs the same engine under its own hash (see
+	// EngineLeap). The canonical spelling of EngineExact is the empty
+	// string, so every spec predating the field keeps its hash.
 	Engine string `json:"engine,omitempty"`
 	// TimeoutMS caps the run's wallclock in milliseconds (0 = no
 	// deadline). It is an execution policy, not part of the workload: the
@@ -341,7 +341,12 @@ func (s Spec) Validate() error {
 			c.TrialRetention, RetainAll, RetainErrors, RetainNone)
 	}
 	switch c.Engine {
-	case "", EngineLeap: // "" is canonical EngineExact
+	case "": // canonical EngineExact
+	case EngineLeap:
+		if c.Adversary.Kind == AdvBursty {
+			return fmt.Errorf("scenario: engine %q is not accepted under adversary %q: the retired leap engine's results there cannot be reproduced (use engine %q)",
+				EngineLeap, AdvBursty, EngineExact)
+		}
 	default:
 		return fmt.Errorf("scenario: unknown engine %q (want %s|%s)",
 			c.Engine, EngineExact, EngineLeap)

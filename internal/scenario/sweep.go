@@ -97,8 +97,8 @@ func (a *Axis) expand(name string, integral bool) ([]float64, error) {
 // SweepAxes names the dimensions a sweep varies over the base spec. An
 // absent axis leaves the base field untouched; a present axis overrides it
 // for every child. The declaration order here is the expansion order:
-// algorithm is the outermost loop, engine the innermost (rightmost
-// varies fastest), so exact/leap pairs of one workload expand adjacently.
+// algorithm is the outermost loop, adversary the innermost (rightmost
+// varies fastest).
 type SweepAxes struct {
 	Algorithm    []string        `json:"algorithm,omitempty"`
 	N            *Axis           `json:"n,omitempty"`
@@ -107,7 +107,6 @@ type SweepAxes struct {
 	Tau          *Axis           `json:"tau,omitempty"`
 	B            *Axis           `json:"b,omitempty"`
 	Adversary    []AdversarySpec `json:"adversary,omitempty"`
-	Engine       []string        `json:"engine,omitempty"`
 }
 
 // SweepSpec is a declarative parameter grid: one base Spec plus axes that
@@ -201,19 +200,6 @@ func (a SweepAxes) dims() ([]sweepDim, error) {
 			}
 			d.labels = append(d.labels, label)
 			d.apply = append(d.apply, func(s *Spec) { s.Adversary = adv })
-		}
-		dims = append(dims, d)
-	}
-	if len(a.Engine) > 0 {
-		d := sweepDim{name: "engine"}
-		for _, eng := range a.Engine {
-			eng := eng
-			label := eng
-			if label == "" {
-				label = EngineExact
-			}
-			d.labels = append(d.labels, label)
-			d.apply = append(d.apply, func(s *Spec) { s.Engine = eng })
 		}
 		dims = append(dims, d)
 	}

@@ -186,10 +186,11 @@ func TestParseSweepStrict(t *testing.T) {
 		t.Fatalf("valid sweep rejected: %v", err)
 	}
 	bad := [][]byte{
-		[]byte(`{"base":{"algorithm":"mis","network":{"n":32}},"axis":{}}`),             // misspelled axes
-		[]byte(`{"base":{"algorithm":"mis","network":{"n":32},"trails":3},"axes":{}}`),  // typo inside base
-		[]byte(`{"base":{"algorithm":"mis","network":{"n":32}},"axes":{"nn":{}}}`),      // unknown axis
-		[]byte(`{"base":{"algorithm":"mis","network":{"n":32}},"axes":{"n":{"go":1}}}`), // unknown axis field
+		[]byte(`{"base":{"algorithm":"mis","network":{"n":32}},"axis":{}}`),                          // misspelled axes
+		[]byte(`{"base":{"algorithm":"mis","network":{"n":32},"trails":3},"axes":{}}`),               // typo inside base
+		[]byte(`{"base":{"algorithm":"mis","network":{"n":32}},"axes":{"nn":{}}}`),                   // unknown axis
+		[]byte(`{"base":{"algorithm":"mis","network":{"n":32}},"axes":{"n":{"go":1}}}`),              // unknown axis field
+		[]byte(`{"base":{"algorithm":"mis","network":{"n":32}},"axes":{"engine":["exact","leap"]}}`), // the retired engine axis
 	}
 	for _, b := range bad {
 		if _, err := ParseSweep(b); err == nil {

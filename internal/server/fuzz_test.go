@@ -41,6 +41,8 @@ func FuzzSubmitBodies(f *testing.F) {
 		`{"base":{"algorithm":"async-mis","network":{"n":4},"max_rounds":4},"axes":{"n":{"values":[3,4]}}}`,
 		`{"base":{"algorithm":"mis","network":{"n":16}},"axes":{"n":{"start":16,"stop":4096,"step":1}}}`,
 		`{"base":{},"axes":{"adversary":[{"kind":"bursty","mean_up":-1}]}}`,
+		`{"algorithm":"mis","network":{"n":8},"engine":"leap","adversary":{"kind":"bursty"}}`,
+		`{"base":{"algorithm":"mis","network":{"n":8}},"axes":{"engine":["exact","leap"]}}`,
 		`{"spec":"not an object"}`,
 		`{}`,
 		`[]`,

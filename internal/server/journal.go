@@ -215,8 +215,11 @@ func (s *Server) replayJournal() error {
 		if complete {
 			continue
 		}
-		var swspec scenario.SweepSpec
-		if err := json.Unmarshal(rec.Sweep, &swspec); err != nil {
+		// Decode as strictly as admission does: a field this code no longer
+		// knows (a retired axis) must drop the sweep, not resume it as
+		// other children under the journaled ids.
+		swspec, err := scenario.ParseSweep(rec.Sweep)
+		if err != nil {
 			s.replayDropped++
 			continue
 		}

@@ -173,6 +173,58 @@ func TestReplayToleratesTornTail(t *testing.T) {
 	}
 }
 
+// TestReplayDropsRetiredLeapRecords replays records that only the retired
+// leap engine accepted: a sweep whose one-value engine axis set "leap"
+// under the bursty adversary, and a standalone leap spec under bursty.
+// Decoded leniently, the sweep would lose its axis, still expand to one
+// child and resume it under the journaled id as an exact run, another
+// execution than the one admitted. Both must be dropped, the ordinary job
+// beside them re-admitted, and new ids must start past every journaled id.
+func TestReplayDropsRetiredLeapRecords(t *testing.T) {
+	dir := t.TempDir()
+	bursty := quickSpec(1, 51)
+	bursty.Adversary = scenario.AdversarySpec{Kind: scenario.AdvBursty, MeanUp: 4, MeanDown: 4}
+	sweep := []byte(`{"base":` + string(rawSpec(t, bursty)) + `,"axes":{"engine":["leap"]}}`)
+	leap := bursty
+	leap.Engine = scenario.EngineLeap
+	writeJournalLines(t, dir,
+		journalRecord{Op: opSweep, ID: "s000004", Sweep: sweep, Children: []string{"j000005"}},
+		journalRecord{Op: opAccept, ID: "j000006", Spec: rawSpec(t, leap)},
+		journalRecord{Op: opAccept, ID: "j000007", Spec: rawSpec(t, quickSpec(1, 52))})
+
+	svc, _ := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	if jobs, sweeps, dropped := replayGauges(svc); jobs != 1 || sweeps != 0 || dropped != 2 {
+		t.Fatalf("replayed %d jobs and %d sweeps, dropped %d; want 1, 0, 2", jobs, sweeps, dropped)
+	}
+	if _, ok := svc.Sweep("s000004"); ok {
+		t.Fatal("a sweep with the retired engine axis was resumed")
+	}
+	for _, id := range []string{"j000005", "j000006"} {
+		if _, ok := svc.Job(id); ok {
+			t.Fatalf("job %s of a retired leap record was admitted", id)
+		}
+	}
+	job, ok := svc.Job("j000007")
+	if !ok {
+		t.Fatal("the ordinary job beside the leap records was not replayed")
+	}
+	waitJob(t, job, StatusDone)
+	next, err := svc.Submit(quickSpec(1, 53))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.id != "j000008" {
+		t.Fatalf("post-replay job id %q, want j000008", next.id)
+	}
+	sw, err := svc.SubmitSweep(scenario.SweepSpec{Base: quickSpec(1, 54)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sw.id != "s000005" {
+		t.Fatalf("post-replay sweep id %q, want s000005", sw.id)
+	}
+}
+
 // TestReplayResumesHalfFinishedSweep is the crash-recovery round trip: a
 // sweep runs to completion, the journal is rewound to look like the daemon
 // died before one child finished (its stored result deleted too), and a

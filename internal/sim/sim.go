@@ -13,11 +13,6 @@
 // The engine is deterministic for a fixed seed: one sequential round loop
 // drives every execution.
 //
-// The leap engine (Config.Leap) is that loop plus one clock jump: when every
-// awake process sleeps, the round advances to the earliest wake in one step.
-// It drives the same Broadcast calls, so every process draws the exact coin
-// stream; it only skips rounds in which nobody can broadcast.
-//
 // Performance: the runner maintains an active set of processes that are not
 // yet Done, a wake calendar of sleeping processes, and a monotone undecided
 // scan pointer, so each round costs O(runnable + hits) engine work rather
@@ -107,8 +102,7 @@ type Message interface {
 //     one coin).
 //
 // A protocol may use both rules, one per stretch of its schedule, as the
-// banned-list CCDS does. Both engines (see Config.Leap) drive Broadcast, so
-// every process draws the same coin stream under either.
+// banned-list CCDS does.
 type Process interface {
 	// Broadcast is called at the start of each round in which the
 	// process is awake and returns the message to transmit (nil to stay
@@ -170,18 +164,6 @@ type Config struct {
 	MaxRounds int
 	// Observer, if non-nil, is invoked after every round.
 	Observer Observer
-	// Leap enables the leap engine: whenever every awake process is
-	// parked in the wake calendar, the round clock jumps straight to the
-	// earliest scheduled wake. Processes are driven through Broadcast as
-	// under the exact engine, so they draw the same coins. Skipped rounds
-	// execute trivially (no broadcasters, no deliveries) and still count in
-	// Stats.Rounds, but the Observer is not invoked for them, GrayActivations
-	// does not count them, and a stateful adversary sees one Skip call (see
-	// adversary.Skipper) instead of per-round Reach calls. So the execution
-	// equals the exact engine's except under an adversary whose Skip
-	// realizes a different state than the skipped Reach calls would (the
-	// bursty one), where it is equal in distribution only.
-	Leap bool
 }
 
 // Runner executes a configured execution round by round.
@@ -420,25 +402,6 @@ func (r *Runner) AllDecided() bool {
 func (r *Runner) Step() bool {
 	if r.fatalErr != nil || r.round >= r.cfg.MaxRounds {
 		return false
-	}
-
-	// Leap mode: when every awake process is parked in the wake calendar,
-	// the intervening rounds are provably broadcast-free — jump the clock
-	// straight to the earliest scheduled wake.
-	if r.cfg.Leap && len(r.runnable) == 0 && len(r.wakeHeap) > 0 {
-		if next := int(r.wakeHeap[0] >> 20); next > r.round {
-			target := min(next, r.cfg.MaxRounds)
-			if skipped := target - r.round; skipped > 0 {
-				if sk, ok := r.adv.(adversary.Skipper); ok {
-					sk.Skip(r.round, skipped)
-				}
-				r.round = target
-				r.stats.Rounds = r.round
-			}
-			if r.round >= r.cfg.MaxRounds {
-				return false
-			}
-		}
 	}
 
 	// Phase 1: collect broadcast decisions from the runnable processes
