@@ -31,7 +31,8 @@ detvet:
 # fuzzer, the engine against the naive whole-execution reference, hostile
 # POST bodies against the job and sweep submission endpoints, hostile
 # journals replayed by a booting server, and the memoized MIS phase of the
-# CCDS family against the single-runner reference.
+# CCDS family and the standalone MIS, which stops at its decided round,
+# against the single-runner reference.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSpecCanonicalization -fuzztime 30s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzRunnerMatchesReference -fuzztime 30s ./internal/sim

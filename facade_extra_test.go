@@ -1,6 +1,7 @@
 package dualradio_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -30,6 +31,13 @@ func TestFacadeTraceAndMap(t *testing.T) {
 	}
 	if plain.TraceSummary != "" {
 		t.Error("trace collected without the flag")
+	}
+	// The traced run simulates the whole schedule, the plain one stops at
+	// its decided round; both report the same execution.
+	if !reflect.DeepEqual(plain.Outputs, res.Outputs) || !reflect.DeepEqual(plain.InMIS, res.InMIS) ||
+		plain.Rounds != res.Rounds || plain.DecidedRound != res.DecidedRound {
+		t.Errorf("plain run (%d rounds, decided %d) differs from the traced one (%d rounds, decided %d)",
+			plain.Rounds, plain.DecidedRound, res.Rounds, res.DecidedRound)
 	}
 }
 

@@ -168,8 +168,13 @@ func (p *MISProcess) Resume(o MISOutcome) {
 
 // MISMessageBits returns the size in bits of every Section 4 MIS message
 // in an n-process network when messages carry no detector label: the
-// least message bound a detector-filtered MIS execution fits in.
+// least message bound an unlabeled MIS execution fits in.
 func MISMessageBits(n int) int { return tagBits + idBits(n) }
+
+// MessageBits returns the size in bits of every message the process
+// sends: contender and announcement share one header, with the detector
+// label when messages carry it.
+func (p *MISProcess) MessageBits() int { return newHeader(p.cfg.N, p.cfg.ID, 0, p.detLabel()).bits }
 
 // Masters returns the ids of known MIS members other than the process
 // itself — for a covered process, the MIS neighbors that dominate it.

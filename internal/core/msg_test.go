@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -33,6 +34,27 @@ func TestDetectorLabelCostsBits(t *testing.T) {
 	wantExtra := countBits + 4*idBits(n)
 	if labeled-unlabeled != wantExtra {
 		t.Errorf("label cost = %d bits, want %d", labeled-unlabeled, wantExtra)
+	}
+}
+
+// TestMISMessageBitsMatchesMessages: MessageBits is the size of both
+// messages an MIS process sends, labeled or not; unlabeled, it is
+// MISMessageBits.
+func TestMISMessageBitsMatchesMessages(t *testing.T) {
+	n := 64
+	for _, label := range []bool{false, true} {
+		p, err := NewMISProcess(MISConfig{ID: 1, N: n, Detector: detector.SetOf(n, 2, 3, 4, 5),
+			Filter: FilterMutual, LabelMessages: label, Params: DefaultParams(), Rng: rand.New(rand.NewPCG(1, 1))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bits := p.MessageBits()
+		if c, a := p.contender().BitSize(), p.announce().BitSize(); c != bits || a != bits {
+			t.Errorf("label=%v: contender %d and announcement %d bits, MessageBits %d", label, c, a, bits)
+		}
+		if !label && bits != MISMessageBits(n) {
+			t.Errorf("unlabeled MessageBits %d, MISMessageBits %d", bits, MISMessageBits(n))
+		}
 	}
 }
 

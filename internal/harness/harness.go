@@ -6,12 +6,13 @@
 //
 // Instances (see Instance and SharedInstance) are memoized and shared
 // across trials, with what is derived from them: the graph H and one MIS
-// phase. The CCDS family and the full-schedule MIS run in two stages split
-// at the MIS schedule end, and the first stage's outcome is memoized on the
-// instance, so siblings on one instance under the same seed, parameters
-// and stateless adversary compute their MIS phase once, whichever engine
-// runs them (see misphase.go). Every execution stays bit-identical to one
-// runner driving it from round 0.
+// phase. The CCDS family runs in two stages split at the MIS schedule end,
+// and the first stage's outcome is memoized on the instance, so siblings on
+// one instance under the same seed, parameters and stateless adversary
+// compute their MIS phase once (see misphase.go). A standalone MIS stops
+// at its decided round instead (see runFixed). Every outcome's outputs,
+// rounds and decided round stay those of one runner driving the whole
+// execution from round 0.
 package harness
 
 import (
@@ -41,16 +42,17 @@ type Scenario struct {
 	// B is the message-size bound in bits (0 = unbounded for MIS;
 	// CCDS algorithms require a positive bound).
 	B int
-	// MaxRounds caps executions that have no fixed length.
+	// MaxRounds caps the execution's length; 0 leaves a fixed schedule
+	// its own length plus one closing round, and the async MIS 2^20.
 	MaxRounds int
 	// StopWhenDecided ends fixed-schedule executions as soon as every
-	// process has output 0 or 1 instead of driving the full schedule.
-	// Outputs are frozen from that point on (decisions never revert), so
-	// experiments that only consume Outputs and DecidedRound — decision
-	// latency, validity, density — see identical results at a fraction of
-	// the simulated rounds. Stats that keep accumulating over the full
-	// schedule (Rounds, Broadcasts, ...) do differ; leave this off when
-	// those matter.
+	// process has output 0 or 1 instead of driving the full schedule, and
+	// reports that round as Outcome.Rounds. Outputs are frozen from that
+	// point on (decisions never revert), so experiments that only consume
+	// Outputs and DecidedRound — decision latency, validity, density — see
+	// identical results at a fraction of the simulated rounds. A standalone
+	// MIS stops there anyway when it may (see runFixed); for it the flag
+	// changes only Rounds.
 	StopWhenDecided bool
 	// Observer, if non-nil, receives per-round callbacks.
 	Observer sim.Observer
@@ -152,12 +154,16 @@ type Outcome struct {
 	// InMIS flags the nodes whose process joined the MIS (or the
 	// dominating structure, for the τ algorithm).
 	InMIS []bool
-	// Rounds is the number of rounds executed.
+	// Rounds is the number of rounds the execution lasts. A standalone
+	// MIS that stops at its decided round reports the rounds its whole
+	// schedule lasts, as if it had run them (see runFixed).
 	Rounds int
 	// DecidedRound is the first round by which every process had decided,
 	// or -1 if some never did.
 	DecidedRound int
-	// Stats carries the engine counters.
+	// Stats carries the engine counters of the rounds actually simulated:
+	// for a standalone MIS that stops at its decided round, of the rounds
+	// through it.
 	Stats sim.Stats
 	// Err records a fatal execution error (message-size violation).
 	Err error
@@ -220,24 +226,28 @@ type fixedProcess interface {
 // the scenario, build one process per node (build receives the node, the
 // network's Δ and the process's randomness stream), run the schedule (to
 // MaxRounds when set, else one round past its end so every process
-// observes completion), and collect the outcome. CCDS algorithms require a
-// positive message bound.
+// observes completion), and collect the outcome.
 //
-// An algorithm that opens with the Section 4 MIS passes the MIS subroutine
-// of each process as inner (the process itself for the MIS) and its
-// reception filter. Its execution is then split at the MIS schedule end,
-// unless it is capped inside the MIS phase (MaxRounds at most the cut, or
-// an MIS stopping once decided) or has no process: stage 1 brings the
-// subroutines there (see misPhase), and stage 2 resumes the processes at
-// that round with stage 1's counters. The MIS keeps its decided round; the
-// CCDS family decides anew, its outputs being undecided throughout the MIS
-// phase.
-func runFixed[P fixedProcess](s *Scenario, ccds bool, build func(v, delta int, rng *rand.Rand) (P, error),
-	inMIS func(P) bool, inner func(P) *core.MISProcess, filter core.FilterMode) (*Outcome, error) {
+// The standalone MIS passes bits, the size of a process's messages; every
+// other caller is a CCDS algorithm, passes nil and requires a positive
+// message bound. The MIS stops at its decided round unless an Observer
+// watches it or a message could exceed B: its outputs never change once
+// decided, so the rest of the schedule could only add to Stats. It still
+// reports the rounds the whole schedule lasts, or, under StopWhenDecided,
+// the decided round (see "The decided tail" in DESIGN.md).
+//
+// A CCDS algorithm that opens with the Section 4 MIS passes the MIS
+// subroutine of each process as inner. Its execution is then split at the
+// MIS schedule end, unless it is capped inside the MIS phase or has no
+// process: stage 1 brings the subroutines there (see misPhase), and stage 2
+// resumes the processes at that round with stage 1's counters and decides
+// anew, its outputs being undecided throughout the MIS phase.
+func runFixed[P fixedProcess](s *Scenario, build func(v, delta int, rng *rand.Rand) (P, error),
+	inMIS func(P) bool, inner func(P) *core.MISProcess, bits func(P) int) (*Outcome, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	if ccds && s.B <= 0 {
+	if bits == nil && s.B <= 0 {
 		return nil, errors.New("harness: CCDS requires a positive message bound B")
 	}
 	n := s.Net.N()
@@ -250,6 +260,7 @@ func runFixed[P fixedProcess](s *Scenario, ccds bool, build func(v, delta int, r
 	if inner != nil {
 		mis = make([]*core.MISProcess, n)
 	}
+	tail := bits != nil && s.Observer == nil && n > 0
 	var total int
 	for v := 0; v < n; v++ {
 		pcgs[v].Seed(s.Seed, s.stream(v))
@@ -261,34 +272,38 @@ func runFixed[P fixedProcess](s *Scenario, ccds bool, build func(v, delta int, r
 		if inner != nil {
 			mis[v] = inner(p)
 		}
+		if tail && s.B > 0 && bits(p) > s.B {
+			tail = false
+		}
 		total = p.Rounds()
 	}
 	maxRounds := s.MaxRounds
-	if maxRounds == 0 {
+	if maxRounds <= 0 {
 		maxRounds = total + 1
 	}
-	cut := core.MISRounds(n, s.params())
 	var runner *sim.Runner
 	var err error
-	if inner == nil || n == 0 || maxRounds <= cut || !ccds && s.StopWhenDecided {
+	if cut := core.MISRounds(n, s.params()); inner == nil || n == 0 || maxRounds <= cut {
 		runner, err = sim.NewRunner(s.config(procs, maxRounds))
 	} else {
 		var carried sim.Stats
-		if carried, err = s.misPhase(mis, pcgs, cut, filter); err != nil {
+		if carried, err = s.misPhase(mis, pcgs, cut); err != nil {
 			return nil, err
 		}
-		if ccds {
-			carried.DecidedRound = -1
-		}
+		carried.DecidedRound = -1
 		runner, err = sim.NewRunnerAt(s.config(procs, maxRounds), cut, carried)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if err := drive(runner, s.StopWhenDecided); err != nil {
+	if err := drive(runner, s.StopWhenDecided || tail); err != nil {
 		return nil, err
 	}
-	return collect(runner, func(p sim.Process) bool { return inMIS(p.(P)) }), nil
+	out := collect(runner, func(p sim.Process) bool { return inMIS(p.(P)) })
+	if tail && !s.StopWhenDecided {
+		out.Rounds = min(maxRounds, total+1)
+	}
+	return out, nil
 }
 
 // misConfig returns the MIS process configuration of node v.
@@ -326,37 +341,37 @@ func (s *Scenario) RunMIS() (*Outcome, error) {
 // RunMISFiltered executes the Section 4 MIS algorithm with an explicit
 // reception filter (FilterNone reproduces the classic-model variant).
 func (s *Scenario) RunMISFiltered(filter core.FilterMode) (*Outcome, error) {
-	return runFixed(s, false, func(v, _ int, rng *rand.Rand) (*core.MISProcess, error) {
+	return runFixed(s, func(v, _ int, rng *rand.Rand) (*core.MISProcess, error) {
 		cfg := s.misConfig(v, filter, rng)
 		// Mutual filtering needs the sender's detector set on the wire
 		// (the Section 6 labeling rule).
 		cfg.LabelMessages = filter == core.FilterMutual
 		return core.NewMISProcess(cfg)
-	}, (*core.MISProcess).InMIS, func(p *core.MISProcess) *core.MISProcess { return p }, filter)
+	}, (*core.MISProcess).InMIS, nil, (*core.MISProcess).MessageBits)
 }
 
 // RunCCDS executes the Section 5 banned-list CCDS algorithm.
 func (s *Scenario) RunCCDS() (*Outcome, error) {
-	return runFixed(s, true, func(v, delta int, rng *rand.Rand) (*core.CCDSProcess, error) {
+	return runFixed(s, func(v, delta int, rng *rand.Rand) (*core.CCDSProcess, error) {
 		return core.NewCCDSProcess(s.ccdsConfig(v, delta, rng))
-	}, (*core.CCDSProcess).InMIS, (*core.CCDSProcess).MIS, core.FilterDetector)
+	}, (*core.CCDSProcess).InMIS, (*core.CCDSProcess).MIS, nil)
 }
 
 // RunBaselineCCDS executes the naive enumeration CCDS used as the Section 5
 // comparison point.
 func (s *Scenario) RunBaselineCCDS() (*Outcome, error) {
-	return runFixed(s, true, func(v, delta int, rng *rand.Rand) (*core.BaselineCCDSProcess, error) {
+	return runFixed(s, func(v, delta int, rng *rand.Rand) (*core.BaselineCCDSProcess, error) {
 		return core.NewBaselineCCDSProcess(s.ccdsConfig(v, delta, rng))
-	}, (*core.BaselineCCDSProcess).InMIS, (*core.BaselineCCDSProcess).MIS, core.FilterDetector)
+	}, (*core.BaselineCCDSProcess).InMIS, (*core.BaselineCCDSProcess).MIS, nil)
 }
 
 // RunTauCCDS executes the Section 6 CCDS algorithm for τ-complete detectors.
 // Its iterated MIS differs from the Section 4 MIS of one run, so it runs
 // unsplit.
 func (s *Scenario) RunTauCCDS(tau int) (*Outcome, error) {
-	return runFixed(s, true, func(v, delta int, rng *rand.Rand) (*core.TauCCDSProcess, error) {
+	return runFixed(s, func(v, delta int, rng *rand.Rand) (*core.TauCCDSProcess, error) {
 		return core.NewTauCCDSProcess(s.ccdsConfig(v, delta, rng), tau)
-	}, (*core.TauCCDSProcess).Dominator, nil, 0)
+	}, (*core.TauCCDSProcess).Dominator, nil, nil)
 }
 
 // RunAsyncMIS executes the Section 9 asynchronous-start MIS variant. wake

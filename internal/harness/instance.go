@@ -40,11 +40,11 @@ type InstanceSpec struct {
 // of concurrent executions.
 //
 // Derived state is memoized with the instance and shared the same way: the
-// graph H (see H), and one MIS phase, the opening the CCDS family shares
-// with a full-schedule MIS run (see runFixed and misPhaseKey). The phase is
-// computed by the first eligible execution, with singleflight, and read by
-// every later one under the same (seed, params, engine, adversary kind);
-// other keys run it inline. Both are charged up front in the memo weight.
+// graph H (see H), and one MIS phase, the opening of the CCDS family (see
+// runFixed and misPhaseKey). The phase is computed by the first eligible
+// CCDS or baseline execution, with singleflight, and read by every later
+// one under the same (seed, params, adversary kind); other keys run it
+// inline. Both are charged up front in the memo weight.
 type Instance struct {
 	Net *dualgraph.Network
 	Asg *dualgraph.Assignment

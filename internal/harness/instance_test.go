@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dualradio/internal/adversary"
+	"dualradio/internal/core"
 )
 
 // TestSharedInstanceMatchesBuild locks the cache to the from-scratch
@@ -74,9 +75,10 @@ func TestSharedInstancePointerIdentityUnderTrials(t *testing.T) {
 
 // TestInstanceWeightTracksHeap checks the instance memo's weight against
 // the heap an instance really occupies once H, the gray caches and its MIS
-// phase are built: within a factor of two either way, across sizes where
-// the detector bitsets go from a minor to the dominant term. The MIS
-// phase's share of the weight must bound the arrays the phase holds.
+// phase are built, the phase by a CCDS run: within a factor of two either
+// way, across sizes where the detector bitsets go from a minor to the
+// dominant term. The MIS phase's share of the weight must bound the arrays
+// the phase holds.
 func TestInstanceWeightTracksHeap(t *testing.T) {
 	for _, spec := range []InstanceSpec{
 		{N: 64, Seed: 5},
@@ -84,6 +86,15 @@ func TestInstanceWeightTracksHeap(t *testing.T) {
 		{N: 256, GrayProb: -1, Seed: 5},
 		{N: 1024, Seed: 5},
 	} {
+		// The CCDS schedule table is memoized process-wide, not on the
+		// instance: build it before measuring.
+		probe, err := BuildInstance(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := core.CCDSRounds(spec.N, probe.Net.Delta(), 512, core.DefaultParams()); err != nil {
+			t.Fatal(err)
+		}
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.GC()
@@ -95,8 +106,9 @@ func TestInstanceWeightTracksHeap(t *testing.T) {
 		inst.H()
 		inst.Net.GrayAdjacency()
 		s := &Scenario{Net: inst.Net, Asg: inst.Asg, Det: inst.Det,
-			Adv: adversary.NewCollisionSeeking(inst.Net), Seed: 1, Shared: inst}
-		if _, err := s.RunMIS(); err != nil {
+			Adv: adversary.NewCollisionSeeking(inst.Net), Seed: 1, B: 512,
+			MaxRounds: phaseOnly(spec.N), Shared: inst}
+		if _, err := s.RunCCDS(); err != nil {
 			t.Fatal(err)
 		}
 		runtime.GC()
@@ -120,6 +132,10 @@ func TestInstanceWeightTracksHeap(t *testing.T) {
 	}
 }
 
+// phaseOnly caps a CCDS run on n nodes one round past its MIS phase: the
+// run fills the instance's memo without running the search.
+func phaseOnly(n int) int { return core.MISRounds(n, core.DefaultParams()) + 1 }
+
 // TestInstanceCacheBounded checks the memo's byte bound end to end: after
 // a run of distinct instances, every sixth holding its MIS phase (charged
 // up front either way), the resident bytes stay within the budget, and an
@@ -135,12 +151,13 @@ func TestInstanceCacheBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		if seed%6 == 0 {
-			s := &Scenario{Net: inst.Net, Asg: inst.Asg, Det: inst.Det, Seed: 1, Shared: inst}
-			if _, err := s.RunMIS(); err != nil {
+			s := &Scenario{Net: inst.Net, Asg: inst.Asg, Det: inst.Det, Seed: 1, B: 512,
+				MaxRounds: phaseOnly(256), Shared: inst}
+			if _, err := s.RunCCDS(); err != nil {
 				t.Fatal(err)
 			}
 			if inst.mis == nil || inst.mis.out == nil {
-				t.Fatal("an eligible MIS run left the instance's MIS phase empty")
+				t.Fatal("an eligible CCDS run left the instance's MIS phase empty")
 			}
 		}
 		if st := InstanceCache(); st.Bytes > InstanceCacheBudget || st.Bytes <= 0 {

@@ -10,12 +10,13 @@ import (
 
 // The MIS phase. The Section 5 CCDS and its naive baseline open with the
 // Section 4 MIS as a subroutine, and on one instance, seed and adversary
-// that opening is bit for bit the execution a standalone MIS run performs.
-// runFixed splits both at the MIS schedule end (the
-// cut): stage 1 is a plain MIS execution up to the cut, stage 2 resumes the
-// algorithm's own processes there. The stage-1 outcome is memoized on the
-// shared Instance, so a sweep's mis and ccds children, or a b axis over one
-// (instance, seed), compute the phase once.
+// that opening is bit for bit the same execution for both. runFixed splits
+// them at the MIS schedule end (the cut): stage 1 is a plain MIS execution
+// up to the cut, stage 2 resumes the algorithm's own processes there. The
+// stage-1 outcome is memoized on the shared Instance, so a sweep's ccds
+// and baseline children, or a b axis over one (instance, seed), compute
+// the phase once. A standalone MIS neither reads nor fills it: it stops at
+// its decided round, before the cut (see runFixed).
 //
 // The cut is sound because no MIS wake round passes the MIS schedule end:
 // at the cut every process is awake and none is done, and every
@@ -53,25 +54,22 @@ func statelessKind(a adversary.Adversary) (advKind, bool) {
 }
 
 // misPhaseKey identifies an MIS phase on one instance. The message bound
-// stays out of it: every MIS message fits in any bound misPhaseKey admits,
-// the CCDS family's included, so the bound cannot change the phase.
+// stays out of it: the CCDS family's least bound exceeds the MIS messages'
+// size, so the bound cannot change the phase.
 type misPhaseKey struct {
 	seed   uint64
 	params core.Params
 	adv    advKind
 }
 
-// misPhaseKey returns the memo key of the scenario's MIS phase under the
-// given reception filter, and false when the phase may not be shared: the
-// scenario does not run on its shared instance unchanged, an Observer
-// watches it, its adversary keeps per-round state, or its MIS is not
-// detector-filtered or has a bound below the MIS messages' size (such a run
-// must fail as it always did). Callers split only full-schedule runs, so
-// the MIS phase is always whole.
-func (s *Scenario) misPhaseKey(filter core.FilterMode) (misPhaseKey, bool) {
+// misPhaseKey returns the memo key of the scenario's MIS phase, and false
+// when the phase may not be shared: the scenario does not run on its
+// shared instance unchanged, an Observer watches it, or its adversary keeps
+// per-round state. Callers split only full-schedule runs, so the MIS phase
+// is always whole.
+func (s *Scenario) misPhaseKey() (misPhaseKey, bool) {
 	adv, ok := statelessKind(s.Adv)
-	if !ok || s.Observer != nil || !s.onShared() || filter != core.FilterDetector ||
-		s.B > 0 && s.B < core.MISMessageBits(s.Net.N()) {
+	if !ok || s.Observer != nil || !s.onShared() {
 		return misPhaseKey{}, false
 	}
 	return misPhaseKey{seed: s.Seed, params: s.params(), adv: adv}, true
@@ -83,7 +81,7 @@ func (s *Scenario) misPhaseKey(filter core.FilterMode) (misPhaseKey, bool) {
 // first eligible execution fills; otherwise stage 1 runs inline, on the
 // scenario's own adversary and Observer, which see the call sequence of an
 // unsplit execution.
-func (s *Scenario) misPhase(mis []*core.MISProcess, pcgs []rand.PCG, cut int, filter core.FilterMode) (sim.Stats, error) {
+func (s *Scenario) misPhase(mis []*core.MISProcess, pcgs []rand.PCG, cut int) (sim.Stats, error) {
 	stage1 := func() (sim.Stats, error) {
 		procs := make([]sim.Process, len(mis))
 		for v, p := range mis {
@@ -95,7 +93,7 @@ func (s *Scenario) misPhase(mis []*core.MISProcess, pcgs []rand.PCG, cut int, fi
 		}
 		return runner.Run()
 	}
-	key, ok := s.misPhaseKey(filter)
+	key, ok := s.misPhaseKey()
 	if !ok {
 		return stage1()
 	}

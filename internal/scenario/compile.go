@@ -124,7 +124,8 @@ type TrialResult struct {
 	// Trial is the trial index and Seed its derived seed.
 	Trial int    `json:"trial"`
 	Seed  uint64 `json:"seed"`
-	// Rounds is the number of rounds executed.
+	// Rounds is the number of rounds the execution lasts (see
+	// harness.Outcome.Rounds).
 	Rounds int `json:"rounds"`
 	// DecidedRound is the first round by which every process had decided
 	// (-1 if some never did, or for executions without that notion).

@@ -104,9 +104,10 @@ func FuzzSubmitBodies(f *testing.F) {
 }
 
 // FuzzJournalReplay boots a server on a hostile journal: accept, sweep and
-// terminal records, with start and fleet records that replay skips, some
-// of them duplicated, reordered, garbled or torn. Whatever the journal
-// holds, New must not panic, and replay must
+// terminal records, sweep records with and without their expansion hash,
+// with start and fleet records that replay skips, some of them duplicated,
+// reordered, garbled or torn. Whatever the journal holds, New must not
+// panic, and replay must
 //   - admit each job id at most once, and only an id the journal names;
 //   - resume id allocation past every well-formed id the journal names;
 //   - release every admission charge: radiod_pending_cost reads 0 once the
@@ -133,6 +134,8 @@ func FuzzJournalReplay(f *testing.F) {
 		{4, 3, 10, 130, 7, 3, 0, 4, 13, 0},      // a garbled sweep, a lease, a torn tail
 		{0, 16, 0, 33, 4, 50, 12, 4, 12, 7, 8},  // several seeds; a dangling op byte
 		{12, 0, 12, 1, 12, 2, 12, 5, 12, 6, 13}, // junk only, torn
+		{14, 2, 1, 2},                           // a hash-carrying sweep with one child finished
+		{14, 3, 14, 2},                          // a stale-hash sweep beside one with its own hash
 	} {
 		f.Add(prog)
 	}
@@ -303,7 +306,7 @@ func journalProgram(prog []byte) []byte {
 	}
 	torn := false
 	for k := 0; k+1 < len(prog) && k < 128; k += 2 {
-		op, arg := prog[k]%14, prog[k+1]
+		op, arg := prog[k]%15, prog[k+1]
 		var last []byte // nil when there is no last line or it is empty
 		if len(lines) > 0 && len(lines[len(lines)-1]) > 0 {
 			last = lines[len(lines)-1]
@@ -347,6 +350,14 @@ func journalProgram(prog []byte) []byte {
 			lines = append(lines, []byte(junk[int(arg)%len(junk)]))
 		case 13:
 			torn = true
+		case 14: // a sweep with its expansion hash, or a stale one for odd args
+			hash := "stale"
+			if sw, err := scenario.ParseSweep(sweep(arg)); err == nil && arg%2 == 0 {
+				if exp, err := scenario.ExpandSweep(sw); err == nil {
+					hash = exp.Hash()
+				}
+			}
+			add(journalRecord{Op: opSweep, ID: sweepID(arg), Sweep: sweep(arg), Hash: hash, Children: []string{jobID(arg), jobID(arg + 1)}})
 		}
 	}
 	out := bytes.Join(lines, []byte("\n"))

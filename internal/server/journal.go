@@ -27,7 +27,7 @@ const (
 	opAccept   = "accept"   // standalone job admitted; Spec carries its canonical spec
 	opStart    = "start"    // job began executing (observability; replay ignores it)
 	opTerminal = "terminal" // job reached a terminal status
-	opSweep    = "sweep"    // sweep admitted; Sweep + Children carry its spec and child ids
+	opSweep    = "sweep"    // sweep admitted; Sweep, Children + Hash carry its spec, child ids and expansion hash
 )
 
 // journalRecord is one NDJSON line of the job journal.
@@ -40,6 +40,10 @@ type journalRecord struct {
 	Spec     json.RawMessage `json:"spec,omitempty"`
 	Sweep    json.RawMessage `json:"sweep,omitempty"`
 	Children []string        `json:"children,omitempty"`
+	// Hash is a sweep's expansion hash (scenario.Expansion.Hash): replay
+	// drops a sweep whose re-expansion hashes differently. Sweep records
+	// written before it existed carry none.
+	Hash string `json:"hash,omitempty"`
 	// TS is the wallclock append time, stamped by journalAppend. It is
 	// forensic only: replay never reads it, and it does not participate
 	// in any canonical hash.
@@ -200,9 +204,10 @@ func (s *Server) replayJournal() error {
 
 	// Pass 2b: resume sweeps with at least one child lacking a terminal
 	// record. ExpandSweep is deterministic, so re-expansion reproduces the
-	// pre-crash grid; a mismatch against the journaled child ids means the
-	// journal and the code disagree, and the sweep is dropped rather than
-	// resurrected wrong.
+	// pre-crash grid; a re-expansion whose hash differs from the journaled
+	// one, or whose child count differs from the journaled child ids, means
+	// the journal and the code disagree, and the sweep is dropped rather
+	// than resurrected wrong. A record without a hash has only the count.
 	for _, sid := range sweepOrder {
 		rec := sweepRecs[sid]
 		complete := len(rec.Children) > 0
@@ -224,13 +229,14 @@ func (s *Server) replayJournal() error {
 			continue
 		}
 		exp, err := scenario.ExpandSweep(swspec)
-		if err != nil || len(exp.Children) != len(rec.Children) || !s.unusedIDsLocked(rec.Children) {
+		if err != nil || len(exp.Children) != len(rec.Children) || rec.Hash != "" && rec.Hash != exp.Hash() ||
+			!s.unusedIDsLocked(rec.Children) {
 			s.replayDropped++
 			continue
 		}
 		// Re-journal the sweep before its children, mirroring SubmitSweep:
 		// a crash mid-resume must not lose the admitted prefix.
-		s.journalAppend(journalRecord{Op: opSweep, ID: sid, Sweep: rec.Sweep, Children: rec.Children})
+		s.journalAppend(journalRecord{Op: opSweep, ID: sid, Sweep: rec.Sweep, Hash: exp.Hash(), Children: rec.Children})
 		swp := newSweep(sid, exp)
 		admitted := true
 		for i, comp := range exp.Children {
@@ -331,7 +337,7 @@ func (s *Server) liveJournalRecordsLocked() []any {
 				terms = append(terms, journalRecord{Op: opTerminal, ID: r.id, Status: r.status})
 			}
 		}
-		recs = append(recs, journalRecord{Op: opSweep, ID: sid, Sweep: raw, Children: children})
+		recs = append(recs, journalRecord{Op: opSweep, ID: sid, Sweep: raw, Hash: sw.exp.Hash(), Children: children})
 		recs = append(recs, terms...)
 	}
 	return recs

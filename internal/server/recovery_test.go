@@ -225,6 +225,69 @@ func TestReplayDropsRetiredLeapRecords(t *testing.T) {
 	}
 }
 
+// TestReplayDropsSweepWithEditedGrid rewinds a finished sweep's journal to
+// its sweep record alone, as if the daemon died before any child finished,
+// and edits the record's body to another grid of the same size. Replay
+// must drop the sweep, whose re-expansion no longer hashes as journaled,
+// rather than resume other workloads under the journaled child ids.
+func TestReplayDropsSweepWithEditedGrid(t *testing.T) {
+	dir := t.TempDir()
+	grid := func(ns ...float64) scenario.SweepSpec {
+		return scenario.SweepSpec{Name: "edited", Base: quickSpec(1, 61),
+			Axes: scenario.SweepAxes{N: &scenario.Axis{Values: ns}}}
+	}
+	svcA, err := New(Config{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	swA, err := svcA.SubmitSweep(grid(24, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitSweep(t, swA)
+	children := swA.View(true).Children
+	data, err := os.ReadFile(journalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svcA.Close()
+	edited, err := json.Marshal(grid(40, 48))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept [][]byte
+	for _, line := range bytes.Split(data, []byte("\n")) {
+		var rec map[string]json.RawMessage
+		if len(line) == 0 || json.Unmarshal(line, &rec) != nil || string(rec["op"]) != `"sweep"` {
+			continue
+		}
+		rec["sweep"] = edited
+		if line, err = json.Marshal(rec); err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, line)
+	}
+	if len(kept) != 1 {
+		t.Fatalf("the journal holds %d sweep records, want 1", len(kept))
+	}
+	if err := os.WriteFile(journalPath(dir), append(kept[0], '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	svcB, _ := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	if jobs, sweeps, dropped := replayGauges(svcB); jobs != 0 || sweeps != 0 || dropped != 1 {
+		t.Fatalf("replayed %d jobs and %d sweeps, dropped %d; want 0, 0, 1", jobs, sweeps, dropped)
+	}
+	if _, ok := svcB.Sweep(swA.id); ok {
+		t.Fatal("a sweep whose grid was edited was resumed")
+	}
+	for _, c := range children {
+		if _, ok := svcB.Job(c.ID); ok {
+			t.Fatalf("job %s of the edited sweep was admitted", c.ID)
+		}
+	}
+}
+
 // TestReplayResumesHalfFinishedSweep is the crash-recovery round trip: a
 // sweep runs to completion, the journal is rewound to look like the daemon
 // died before one child finished (its stored result deleted too), and a

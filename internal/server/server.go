@@ -529,7 +529,7 @@ func (s *Server) SubmitSweep(sw scenario.SweepSpec) (*Sweep, error) {
 	// this record and the last admission re-admits every child on replay
 	// (completed ones as store cache hits) instead of losing the tail.
 	if raw, err := json.Marshal(exp.Spec); err == nil {
-		s.journalAppend(journalRecord{Op: opSweep, ID: swpID, Sweep: raw, Children: childIDs})
+		s.journalAppend(journalRecord{Op: opSweep, ID: swpID, Sweep: raw, Hash: exp.Hash(), Children: childIDs})
 	}
 	swp := newSweep(swpID, exp)
 	s.nextSweep++
