@@ -30,15 +30,15 @@ detvet:
 # and shake the mutator, short enough for CI: the spec-canonicalization
 # fuzzer, the engine against the naive whole-execution reference, hostile
 # POST bodies against the job and sweep submission endpoints, hostile
-# journals replayed by a booting server, and the memoized MIS phase of the
-# CCDS family and the standalone MIS, which stops at its decided round,
-# against the single-runner reference.
+# journals replayed by a booting server, and the harness's MIS, CCDS and
+# baseline runs (an MIS stops at its decided round) against the
+# single-runner reference.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSpecCanonicalization -fuzztime 30s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzRunnerMatchesReference -fuzztime 30s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzSubmitBodies -fuzztime 30s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 30s ./internal/server
-	$(GO) test -run '^$$' -fuzz FuzzMISPhaseReuse -fuzztime 30s ./internal/harness
+	$(GO) test -run '^$$' -fuzz FuzzRunFixedMatchesReference -fuzztime 30s ./internal/harness
 
 # bench-smoke runs every package benchmark once (about 10 s), so the
 # benchmarks keep running instead of only compiling under go test ./...

@@ -86,9 +86,6 @@ func (p *BaselineCCDSProcess) Done() bool { return p.done }
 // InMIS reports whether the process joined the underlying MIS.
 func (p *BaselineCCDSProcess) InMIS() bool { return p.mis.InMIS() }
 
-// MIS returns the process's MIS subroutine (see CCDSProcess.MIS).
-func (p *BaselineCCDSProcess) MIS() *MISProcess { return p.mis }
-
 // Broadcast implements sim.Process: the MIS subroutine's sleep windows pass
 // through unchanged, and the enumeration schedule reports its own (see
 // enumConnect.Broadcast for the coin pre-consumption that keeps skipped

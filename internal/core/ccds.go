@@ -233,12 +233,6 @@ func (p *CCDSProcess) Done() bool { return p.finished }
 // InMIS reports whether the process joined the underlying MIS.
 func (p *CCDSProcess) InMIS() bool { return p.inMIS }
 
-// MIS returns the process's MIS subroutine, which drives rounds below its
-// own Rounds(). An execution split at that round runs the subroutines as a
-// plain MIS execution, or resumes them from a recorded MISOutcome, and then
-// drives the CCDS processes from there.
-func (p *CCDSProcess) MIS() *MISProcess { return p.mis }
-
 // Discovered returns the set of MIS ids this MIS process discovered through
 // exploration (empty for covered processes).
 func (p *CCDSProcess) Discovered() []int {

@@ -135,37 +135,6 @@ func (p *MISProcess) MISSet() *detector.Set { return p.misSet }
 // JoinedEpoch returns the epoch in which the process joined the MIS, or -1.
 func (p *MISProcess) JoinedEpoch() int { return p.joinedEpoch }
 
-// MISOutcome is what an MIS process's schedule leaves behind: its output,
-// M_u and joining epoch once round Rounds()-1 has run. It is everything
-// the CCDS family's search reads of its MIS subroutine (InMIS, Masters),
-// so a search resumed from a recorded outcome runs exactly as one that
-// drove the subroutine itself, given the same randomness stream position.
-type MISOutcome struct {
-	// Out is the output: sim.Undecided, 0 or 1.
-	Out int
-	// Members lists M_u in ascending id order.
-	Members []int
-	// JoinedEpoch is the epoch in which the process joined, or -1.
-	JoinedEpoch int
-}
-
-// Outcome records the process's state at the end of its schedule.
-func (p *MISProcess) Outcome() MISOutcome {
-	return MISOutcome{Out: p.out, Members: p.misSet.IDs(), JoinedEpoch: p.joinedEpoch}
-}
-
-// Resume puts a process that has not been driven into the state o
-// records, as if it had just executed round Rounds()-1; it must next be
-// driven at round Rounds(). Members is copied. The process's randomness
-// stream is the caller's to position: Resume draws nothing.
-func (p *MISProcess) Resume(o MISOutcome) {
-	p.out = o.Out
-	p.misSet = detector.SetOf(p.cfg.N, o.Members...)
-	p.joinedEpoch = o.JoinedEpoch
-	p.active = false
-	p.nextRound = p.sched.total
-}
-
 // MISMessageBits returns the size in bits of every Section 4 MIS message
 // in an n-process network when messages carry no detector label: the
 // least message bound an unlabeled MIS execution fits in.

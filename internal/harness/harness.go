@@ -5,14 +5,11 @@
 // facade, the test suites, and the experiment harness all build on it.
 //
 // Instances (see Instance and SharedInstance) are memoized and shared
-// across trials, with what is derived from them: the graph H and one MIS
-// phase. The CCDS family runs in two stages split at the MIS schedule end,
-// and the first stage's outcome is memoized on the instance, so siblings on
-// one instance under the same seed, parameters and stateless adversary
-// compute their MIS phase once (see misphase.go). A standalone MIS stops
-// at its decided round instead (see runFixed). Every outcome's outputs,
-// rounds and decided round stay those of one runner driving the whole
-// execution from round 0.
+// across trials, with the graph H derived from them. Every fixed-schedule
+// algorithm runs as one execution: one runner drives it from round 0 on
+// each process's own randomness stream (see runFixed). A standalone MIS
+// stops at its decided round but reports the whole execution's outputs and
+// decided round.
 package harness
 
 import (
@@ -66,17 +63,11 @@ type Scenario struct {
 // and detector — memoized on the shared instance when one backs this
 // scenario unchanged, rebuilt otherwise (e.g. after a test swaps Det).
 func (s *Scenario) H() *graph.Graph {
-	if s.onShared() {
+	if s.Shared != nil && s.Shared.Det == s.Det &&
+		s.Shared.Net == s.Net && s.Shared.Asg == s.Asg {
 		return s.Shared.H()
 	}
 	return detector.BuildH(s.Net, s.Asg, s.Det)
-}
-
-// onShared reports whether the scenario runs on its shared instance
-// unchanged, so state memoized on the instance describes it.
-func (s *Scenario) onShared() bool {
-	return s.Shared != nil && s.Shared.Det == s.Det &&
-		s.Shared.Net == s.Net && s.Shared.Asg == s.Asg
 }
 
 func (s *Scenario) params() core.Params {
@@ -90,12 +81,8 @@ func (s *Scenario) params() core.Params {
 // at node v (keyed by its process id, so the stream is stable under
 // re-assignment of processes to nodes).
 func (s *Scenario) RngFor(v int) *rand.Rand {
-	return rand.New(rand.NewPCG(s.Seed, s.stream(v)))
-}
-
-// stream returns the PCG stream id of the process at node v.
-func (s *Scenario) stream(v int) uint64 {
-	return uint64(s.Asg.ID(v))*0x9e3779b97f4a7c15 + 0x1234567
+	id := uint64(s.Asg.ID(v))
+	return rand.New(rand.NewPCG(s.Seed, id*0x9e3779b97f4a7c15+0x1234567))
 }
 
 // PCG stream ids of the per-trial auxiliary draws below.
@@ -235,15 +222,8 @@ type fixedProcess interface {
 // decided, so the rest of the schedule could only add to Stats. It still
 // reports the rounds the whole schedule lasts, or, under StopWhenDecided,
 // the decided round (see "The decided tail" in DESIGN.md).
-//
-// A CCDS algorithm that opens with the Section 4 MIS passes the MIS
-// subroutine of each process as inner. Its execution is then split at the
-// MIS schedule end, unless it is capped inside the MIS phase or has no
-// process: stage 1 brings the subroutines there (see misPhase), and stage 2
-// resumes the processes at that round with stage 1's counters and decides
-// anew, its outputs being undecided throughout the MIS phase.
 func runFixed[P fixedProcess](s *Scenario, build func(v, delta int, rng *rand.Rand) (P, error),
-	inMIS func(P) bool, inner func(P) *core.MISProcess, bits func(P) int) (*Outcome, error) {
+	inMIS func(P) bool, bits func(P) int) (*Outcome, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
@@ -253,25 +233,14 @@ func runFixed[P fixedProcess](s *Scenario, build func(v, delta int, rng *rand.Ra
 	n := s.Net.N()
 	delta := s.Net.Delta()
 	procs := make([]sim.Process, n)
-	// The harness owns every process's PCG, so stage 2 can be handed the
-	// stream position a memoized stage 1 recorded.
-	pcgs := make([]rand.PCG, n)
-	var mis []*core.MISProcess
-	if inner != nil {
-		mis = make([]*core.MISProcess, n)
-	}
 	tail := bits != nil && s.Observer == nil && n > 0
 	var total int
 	for v := 0; v < n; v++ {
-		pcgs[v].Seed(s.Seed, s.stream(v))
-		p, err := build(v, delta, rand.New(&pcgs[v]))
+		p, err := build(v, delta, s.RngFor(v))
 		if err != nil {
 			return nil, err
 		}
 		procs[v] = p
-		if inner != nil {
-			mis[v] = inner(p)
-		}
 		if tail && s.B > 0 && bits(p) > s.B {
 			tail = false
 		}
@@ -281,18 +250,7 @@ func runFixed[P fixedProcess](s *Scenario, build func(v, delta int, rng *rand.Ra
 	if maxRounds <= 0 {
 		maxRounds = total + 1
 	}
-	var runner *sim.Runner
-	var err error
-	if cut := core.MISRounds(n, s.params()); inner == nil || n == 0 || maxRounds <= cut {
-		runner, err = sim.NewRunner(s.config(procs, maxRounds))
-	} else {
-		var carried sim.Stats
-		if carried, err = s.misPhase(mis, pcgs, cut); err != nil {
-			return nil, err
-		}
-		carried.DecidedRound = -1
-		runner, err = sim.NewRunnerAt(s.config(procs, maxRounds), cut, carried)
-	}
+	runner, err := sim.NewRunner(s.config(procs, maxRounds))
 	if err != nil {
 		return nil, err
 	}
@@ -347,14 +305,14 @@ func (s *Scenario) RunMISFiltered(filter core.FilterMode) (*Outcome, error) {
 		// (the Section 6 labeling rule).
 		cfg.LabelMessages = filter == core.FilterMutual
 		return core.NewMISProcess(cfg)
-	}, (*core.MISProcess).InMIS, nil, (*core.MISProcess).MessageBits)
+	}, (*core.MISProcess).InMIS, (*core.MISProcess).MessageBits)
 }
 
 // RunCCDS executes the Section 5 banned-list CCDS algorithm.
 func (s *Scenario) RunCCDS() (*Outcome, error) {
 	return runFixed(s, func(v, delta int, rng *rand.Rand) (*core.CCDSProcess, error) {
 		return core.NewCCDSProcess(s.ccdsConfig(v, delta, rng))
-	}, (*core.CCDSProcess).InMIS, (*core.CCDSProcess).MIS, nil)
+	}, (*core.CCDSProcess).InMIS, nil)
 }
 
 // RunBaselineCCDS executes the naive enumeration CCDS used as the Section 5
@@ -362,16 +320,14 @@ func (s *Scenario) RunCCDS() (*Outcome, error) {
 func (s *Scenario) RunBaselineCCDS() (*Outcome, error) {
 	return runFixed(s, func(v, delta int, rng *rand.Rand) (*core.BaselineCCDSProcess, error) {
 		return core.NewBaselineCCDSProcess(s.ccdsConfig(v, delta, rng))
-	}, (*core.BaselineCCDSProcess).InMIS, (*core.BaselineCCDSProcess).MIS, nil)
+	}, (*core.BaselineCCDSProcess).InMIS, nil)
 }
 
 // RunTauCCDS executes the Section 6 CCDS algorithm for τ-complete detectors.
-// Its iterated MIS differs from the Section 4 MIS of one run, so it runs
-// unsplit.
 func (s *Scenario) RunTauCCDS(tau int) (*Outcome, error) {
 	return runFixed(s, func(v, delta int, rng *rand.Rand) (*core.TauCCDSProcess, error) {
 		return core.NewTauCCDSProcess(s.ccdsConfig(v, delta, rng), tau)
-	}, (*core.TauCCDSProcess).Dominator, nil, nil)
+	}, (*core.TauCCDSProcess).Dominator, nil)
 }
 
 // RunAsyncMIS executes the Section 9 asynchronous-start MIS variant. wake

@@ -39,12 +39,8 @@ type InstanceSpec struct {
 // detector sets before mutating), so a single instance may back any number
 // of concurrent executions.
 //
-// Derived state is memoized with the instance and shared the same way: the
-// graph H (see H), and one MIS phase, the opening of the CCDS family (see
-// runFixed and misPhaseKey). The phase is computed by the first eligible
-// CCDS or baseline execution, with singleflight, and read by every later
-// one under the same (seed, params, adversary kind); other keys run it
-// inline. Both are charged up front in the memo weight.
+// The graph H derived from the triple is memoized with the instance and
+// shared the same way (see H), and charged up front in the memo weight.
 type Instance struct {
 	Net *dualgraph.Network
 	Asg *dualgraph.Assignment
@@ -52,9 +48,6 @@ type Instance struct {
 
 	hOnce sync.Once
 	h     *graph.Graph
-
-	misMu sync.Mutex
-	mis   *misSlot
 }
 
 // H returns the Section 3 graph H induced by the instance's detector
@@ -95,14 +88,14 @@ func BuildInstance(spec InstanceSpec) (*Instance, error) {
 }
 
 // InstanceCacheBudget bounds the bytes the instance memo keeps resident.
-// An instance weighs from ~35 KB at n=64 to ~67 MB at n=16384, so an entry
+// An instance weighs from ~31 KB at n=64 to ~64 MB at n=16384, so an entry
 // count would either pin gigabytes of dead instances or thrash the small
-// ones; 8 MiB holds about three times the working set of the experiments'
-// quick suite (39 instances, ~2.5 MB). Fresh-seed service traffic rarely
-// reuses an instance, so past the budget the coldest are evicted, and an
-// instance larger than the whole budget (n=4096 at the default degree
-// already is) is shared by the trials that build it concurrently but not
-// retained.
+// ones; 8 MiB holds about three and a half times the working set of the
+// experiments' quick suite (39 instances, ~2.3 MB). Fresh-seed service
+// traffic rarely reuses an instance, so past the budget the coldest are
+// evicted, and an instance larger than the whole budget (n=5120 at the
+// default degree already is; n=4096, at ~7.9 MB, is just under it) is
+// shared by the trials that build it concurrently but not retained.
 const InstanceCacheBudget = 8 << 20
 
 // instances memoizes BuildInstance per spec, evicting cold entries;
@@ -148,11 +141,10 @@ const entryBytes = 256
 
 // bytes is the instance's memo weight: the heap its arrays occupy once
 // every lazy structure is built, from each array's length and element
-// size. It is computed when the build returns, so the lazily built H, gray
-// caches and MIS phase are charged up front: H at its bound, G plus one
-// edge per two detector mistakes (a mistaken H edge is a mutual mistake),
-// and nothing when the detector is exact and H is G itself; the MIS phase
-// with every M_u at its bound, the node's detector set plus itself.
+// size. It is computed when the build returns, so the lazily built H and
+// gray caches are charged up front: H at its bound, G plus one edge per two
+// detector mistakes (a mistaken H edge is a mutual mistake), and nothing
+// when the detector is exact and H is G itself.
 func (i *Instance) bytes() int64 {
 	if i == nil {
 		return entryBytes
@@ -172,23 +164,14 @@ func (i *Instance) bytes() int64 {
 	b += 8*n + 8*(n+1)                      // assignment: both directions of the bijection
 	words := (n + 64) / 64                  // detector.NewSet's bitset length
 	b += n * (8 + 32 + allocBytes(8*words)) // detector: pointer, Set header and bitset per node
+	if i.Det.Exact(i.Net, i.Asg) {
+		return b // H is G
+	}
 	detIDs := int64(0)
 	for _, s := range i.Det.Sets() {
 		detIDs += int64(s.Len())
 	}
-	b += misPhaseBytes(n, detIDs)
-	if i.Det.Exact(i.Net, i.Asg) {
-		return b // H is G
-	}
 	return b + csr(m+max(detIDs-2*m, 0)/2) // H
-}
-
-// misPhaseBytes bounds the weight of a memoized MIS phase on an n-node
-// instance whose detector sets hold detIDs ids in all: the misOutcome and a
-// misNode per node, and every M_u at its bound, since M_u only gains the
-// node's own id and detector-filtered senders.
-func misPhaseBytes(n, detIDs int64) int64 {
-	return entryBytes + misNodeBytes*n + 4*(detIDs+n)
 }
 
 // allocBytes rounds a small allocation up to the Go allocator's size-class

@@ -3,9 +3,6 @@ package harness
 import (
 	"runtime"
 	"testing"
-
-	"dualradio/internal/adversary"
-	"dualradio/internal/core"
 )
 
 // TestSharedInstanceMatchesBuild locks the cache to the from-scratch
@@ -74,11 +71,9 @@ func TestSharedInstancePointerIdentityUnderTrials(t *testing.T) {
 }
 
 // TestInstanceWeightTracksHeap checks the instance memo's weight against
-// the heap an instance really occupies once H, the gray caches and its MIS
-// phase are built, the phase by a CCDS run: within a factor of two either
-// way, across sizes where the detector bitsets go from a minor to the
-// dominant term. The MIS phase's share of the weight must bound the arrays
-// the phase holds.
+// the heap an instance really occupies once H and the gray caches are
+// built: within a factor of two either way, across sizes where the
+// detector bitsets go from a minor to the dominant term.
 func TestInstanceWeightTracksHeap(t *testing.T) {
 	for _, spec := range []InstanceSpec{
 		{N: 64, Seed: 5},
@@ -86,15 +81,6 @@ func TestInstanceWeightTracksHeap(t *testing.T) {
 		{N: 256, GrayProb: -1, Seed: 5},
 		{N: 1024, Seed: 5},
 	} {
-		// The CCDS schedule table is memoized process-wide, not on the
-		// instance: build it before measuring.
-		probe, err := BuildInstance(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := core.CCDSRounds(spec.N, probe.Net.Delta(), 512, core.DefaultParams()); err != nil {
-			t.Fatal(err)
-		}
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.GC()
@@ -105,12 +91,6 @@ func TestInstanceWeightTracksHeap(t *testing.T) {
 		}
 		inst.H()
 		inst.Net.GrayAdjacency()
-		s := &Scenario{Net: inst.Net, Asg: inst.Asg, Det: inst.Det,
-			Adv: adversary.NewCollisionSeeking(inst.Net), Seed: 1, B: 512,
-			MaxRounds: phaseOnly(spec.N), Shared: inst}
-		if _, err := s.RunCCDS(); err != nil {
-			t.Fatal(err)
-		}
 		runtime.GC()
 		runtime.ReadMemStats(&after)
 		heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
@@ -120,58 +100,33 @@ func TestInstanceWeightTracksHeap(t *testing.T) {
 		if w < heap/2 || w > 2*heap {
 			t.Errorf("%+v: weight %d outside 0.5-2x of heap bytes %d", spec, w, heap)
 		}
-		o := inst.mis.out
-		held := int64(len(o.nodes))*misNodeBytes + 4*int64(cap(o.ids))
-		detIDs := int64(0)
-		for _, set := range inst.Det.Sets() {
-			detIDs += int64(set.Len())
-		}
-		if charged := misPhaseBytes(int64(spec.N), detIDs); held > charged {
-			t.Errorf("%+v: MIS phase holds %d array bytes, charged %d", spec, held, charged)
-		}
 	}
 }
 
-// phaseOnly caps a CCDS run on n nodes one round past its MIS phase: the
-// run fills the instance's memo without running the search.
-func phaseOnly(n int) int { return core.MISRounds(n, core.DefaultParams()) + 1 }
-
 // TestInstanceCacheBounded checks the memo's byte bound end to end: after
-// a run of distinct instances, every sixth holding its MIS phase (charged
-// up front either way), the resident bytes stay within the budget, and an
-// instance heavier than the whole budget (n=4096) is served but not
+// a run of distinct instances the resident bytes stay within the budget,
+// and an instance heavier than the whole budget (n=5120) is served but not
 // retained, so the next getter rebuilds it.
 func TestInstanceCacheBounded(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds an n=4096 instance")
+		t.Skip("builds an n=5120 instance")
 	}
 	for seed := uint64(0); seed < 48; seed++ {
-		inst, err := SharedInstance(InstanceSpec{N: 256, Seed: 1000 + seed})
-		if err != nil {
+		if _, err := SharedInstance(InstanceSpec{N: 256, Seed: 1000 + seed}); err != nil {
 			t.Fatal(err)
-		}
-		if seed%6 == 0 {
-			s := &Scenario{Net: inst.Net, Asg: inst.Asg, Det: inst.Det, Seed: 1, B: 512,
-				MaxRounds: phaseOnly(256), Shared: inst}
-			if _, err := s.RunCCDS(); err != nil {
-				t.Fatal(err)
-			}
-			if inst.mis == nil || inst.mis.out == nil {
-				t.Fatal("an eligible CCDS run left the instance's MIS phase empty")
-			}
 		}
 		if st := InstanceCache(); st.Bytes > InstanceCacheBudget || st.Bytes <= 0 {
 			t.Fatalf("after %d instances: %d bytes resident, budget %d", seed+1, st.Bytes, InstanceCacheBudget)
 		}
 	}
-	big := InstanceSpec{N: 4096, Seed: 5}
+	big := InstanceSpec{N: 5120, Seed: 5}
 	before := InstanceCache()
 	inst, err := SharedInstance(big)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if w := inst.bytes(); w <= InstanceCacheBudget {
-		t.Fatalf("n=4096 instance weighs %d, not over the %d budget", w, InstanceCacheBudget)
+		t.Fatalf("n=5120 instance weighs %d, not over the %d budget", w, InstanceCacheBudget)
 	}
 	after := InstanceCache()
 	if after.Builds != before.Builds+1 {

@@ -18,8 +18,8 @@ import (
 	"dualradio/internal/sim"
 )
 
-// phaseRun is one execution of the MIS family on a shared instance.
-type phaseRun struct {
+// fixedRun is one execution of the MIS family on a shared instance.
+type fixedRun struct {
 	algo      string          // "mis", "ccds" or "baseline"
 	adv       string          // "none", "full", "collision", "uniform" or "bursty"
 	obs       bool            // watch the run with an Observer
@@ -30,13 +30,13 @@ type phaseRun struct {
 	stop      bool            // Scenario.StopWhenDecided
 }
 
-func (r phaseRun) String() string {
+func (r fixedRun) String() string {
 	return fmt.Sprintf("%s/%s/obs=%v/b=%d/seed=%d/filter=%d/max=%d/stop=%v",
 		r.algo, r.adv, r.obs, r.b, r.seed, r.filter, r.maxRounds, r.stop)
 }
 
 // misFilter returns the MIS's reception filter.
-func (r phaseRun) misFilter() core.FilterMode {
+func (r fixedRun) misFilter() core.FilterMode {
 	if r.filter == 0 {
 		return core.FilterDetector
 	}
@@ -46,7 +46,7 @@ func (r phaseRun) misFilter() core.FilterMode {
 // scenario returns the run's scenario on inst with a fresh adversary; the
 // uniform and bursty adversaries draw from a stream fixed by the seed, so
 // every scenario of one run starts them in the same state.
-func (r phaseRun) scenario(inst *Instance) *Scenario {
+func (r fixedRun) scenario(inst *Instance) *Scenario {
 	var adv adversary.Adversary
 	rng := rand.New(rand.NewPCG(r.seed, 0xAD))
 	switch r.adv {
@@ -71,7 +71,7 @@ func (r phaseRun) scenario(inst *Instance) *Scenario {
 }
 
 // run executes the run through the harness.
-func (r phaseRun) run(s *Scenario) (*Outcome, error) {
+func (r fixedRun) run(s *Scenario) (*Outcome, error) {
 	switch r.algo {
 	case "mis":
 		return s.RunMISFiltered(r.misFilter())
@@ -118,7 +118,7 @@ type refRun struct {
 }
 
 // referenceRun runs r's single-runner reference on inst.
-func referenceRun(t testing.TB, inst *Instance, r phaseRun) *refRun {
+func referenceRun(t testing.TB, inst *Instance, r fixedRun) *refRun {
 	t.Helper()
 	s := r.scenario(inst)
 	obs := &traceObserver{h: fnv.New64a()}
@@ -178,7 +178,7 @@ func referenceRun(t testing.TB, inst *Instance, r phaseRun) *refRun {
 // whether it stops at the decided round: a standalone MIS does unless an
 // Observer watches it or one of its messages could exceed the bound, and
 // StopWhenDecided stops every run there.
-func (ref *refRun) simulated(r phaseRun) (int, bool) {
+func (ref *refRun) simulated(r fixedRun) (int, bool) {
 	tail := r.algo == "mis" && !r.obs && (r.b <= 0 || r.b >= ref.bits)
 	if d := ref.out.DecidedRound; d >= 0 && (tail || r.stop) {
 		return d, true
@@ -190,7 +190,7 @@ func (ref *refRun) simulated(r phaseRun) (int, bool) {
 // differ from the reference, or returns "". Outputs, InMIS, the decided
 // round and, unless the run stops once decided, rounds and error are the
 // whole run's; Stats are the reference's after the rounds r simulates.
-func (ref *refRun) diff(r phaseRun, got *Outcome, err error) string {
+func (ref *refRun) diff(r fixedRun, got *Outcome, err error) string {
 	k, stopped := ref.simulated(r)
 	wantErr := ref.err
 	if stopped {
@@ -227,45 +227,15 @@ func diffOutcome(got, want *Outcome) string {
 	return ""
 }
 
-// phasePath names the path a run takes on inst: a standalone MIS takes
-// "none", neither reading nor filling the memo; a CCDS-family run takes
-// "cold" when it claims the empty memo slot, "warm" when it reads the slot
-// its key filled, and "inline" when it runs its own stage 1 (an ineligible
-// run, or a key other than the slot's).
-func phasePath(inst *Instance, s *Scenario, algo string) string {
-	if algo == "mis" {
-		return "none"
-	}
-	key, ok := s.misPhaseKey()
-	switch {
-	case !ok:
-		return "inline"
-	case inst.mis == nil:
-		return "cold"
-	case inst.mis.key == key:
-		return "warm"
-	}
-	return "inline"
-}
-
-// checkPhaseRun runs r on inst through the harness and through the
-// reference, and fails on any difference diff names or, with an Observer,
-// in any simulated round's broadcasters and deliveries. It returns the
-// path the run took.
-func checkPhaseRun(t testing.TB, inst *Instance, r phaseRun) string {
-	t.Helper()
-	return checkRun(t, inst, r, referenceRun(t, inst, r))
-}
-
-// checkRun is checkPhaseRun against a reference already run.
-func checkRun(t testing.TB, inst *Instance, r phaseRun, ref *refRun) string {
+// checkRun runs r on inst through the harness and fails on any difference
+// from its reference ref that diff names or, with an Observer, in any
+// simulated round's broadcasters and deliveries.
+func checkRun(t testing.TB, inst *Instance, r fixedRun, ref *refRun) {
 	t.Helper()
 	s := r.scenario(inst)
-	slot := inst.mis
-	path := phasePath(inst, s, r.algo)
 	got, err := r.run(s)
 	if d := ref.diff(r, got, err); d != "" {
-		t.Fatalf("%v (%s path): %s", r, path, d)
+		t.Fatalf("%v: %s", r, d)
 	}
 	if r.obs && err == nil {
 		k, _ := ref.simulated(r)
@@ -273,156 +243,145 @@ func checkRun(t testing.TB, inst *Instance, r phaseRun, ref *refRun) string {
 			t.Fatalf("%v: round trace %x, want %x", r, g, w)
 		}
 	}
-	switch path {
-	case "none":
-		if inst.mis != slot {
-			t.Fatalf("%v: a standalone MIS changed the memo slot", r)
-		}
-	case "cold", "warm":
-		if inst.mis == nil || inst.mis.out == nil {
-			t.Fatalf("%v: the %s path left the memo empty", r, path)
-		}
-		checkMemo(t, inst.mis.out, r.scenario(inst), r)
-	}
-	return path
 }
 
-// checkMemo restores the memoized phase o into fresh MIS processes and
-// requires the state of the reference's MIS phase: every process's
-// output, M_u, joining epoch and PCG at the cut, and stage 1's counters.
-// Outcome comparison alone cannot see every restore fault: the Section 5
-// search re-adopts a master whose id M_u lost once its banned-list chunk
-// arrives.
-func checkMemo(t testing.TB, o *misOutcome, s *Scenario, r phaseRun) {
-	t.Helper()
-	n := s.Net.N()
-	cut := core.MISRounds(n, s.params())
-	procs := make([]sim.Process, n)
-	refPCGs := make([]*rand.PCG, n)
-	mis := make([]*core.MISProcess, n)
-	pcgs := make([]rand.PCG, n)
-	for v := 0; v < n; v++ {
-		cfg := core.MISConfig{ID: s.Asg.ID(v), N: n, Detector: s.Det.Set(v),
-			Filter: core.FilterDetector, Params: s.params()}
-		refPCGs[v] = rand.NewPCG(s.Seed, s.stream(v))
-		cfg.Rng = rand.New(refPCGs[v])
-		p, err := core.NewMISProcess(cfg)
+// TestCCDSFamilyMatchesReference is the differential test of the CCDS
+// family: every RunCCDS and RunBaselineCCDS run, with and without an
+// Observer, must equal the single-runner reference exactly: outputs,
+// InMIS, rounds, decided round, every Stats field and, with an Observer,
+// the round trace. The grid crosses two instance shapes, the five
+// adversaries and MaxRounds 0, inside the MIS phase and inside the search.
+func TestCCDSFamilyMatchesReference(t *testing.T) {
+	for _, spec := range []InstanceSpec{{N: 24, GrayProb: 0.15, Seed: 7}, {N: 48, GrayProb: 0.4, Seed: 7}} {
+		inst, err := BuildInstance(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		procs[v] = p
-		cfg.Rng = rand.New(&pcgs[v])
-		if mis[v], err = core.NewMISProcess(cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runner, err := sim.NewRunner(s.config(procs, cut))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := runner.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.stats != want {
-		t.Fatalf("%v: memoized counters %+v, want %+v", r, o.stats, want)
-	}
-	o.restore(mis, pcgs)
-	for v, p := range procs {
-		if got, want := mis[v].Outcome(), p.(*core.MISProcess).Outcome(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: node %d restored to %+v, want %+v", r, v, got, want)
-		}
-		if pcgs[v] != *refPCGs[v] {
-			t.Fatalf("%v: node %d restored PCG %+v, want %+v", r, v, pcgs[v], *refPCGs[v])
+		mis := core.MISRounds(spec.N, core.DefaultParams())
+		for _, algo := range []string{"ccds", "baseline"} {
+			for _, adv := range []string{"none", "full", "collision", "uniform", "bursty"} {
+				base := fixedRun{algo: algo, adv: adv, b: 512, seed: 3}
+				whole := referenceRun(t, inst, base)
+				for _, maxRounds := range []int{0, mis / 2, (mis + whole.out.Rounds) / 2} {
+					capped := base
+					capped.maxRounds = maxRounds
+					ref := whole
+					if maxRounds > 0 {
+						ref = referenceRun(t, inst, capped)
+						if ref.out.Rounds != maxRounds {
+							t.Fatalf("%v: the reference ran %d rounds", capped, ref.out.Rounds)
+						}
+					}
+					for _, obs := range []bool{false, true} {
+						r := capped
+						r.obs = obs
+						checkRun(t, inst, r, ref)
+					}
+				}
+			}
 		}
 	}
 }
 
-// TestMISPhaseReuseMatchesReference is the equivalence test of the
-// two-stage CCDS family and the memoized MIS phase: every run, on every
-// path, must equal the single-runner reference exactly. On each fresh
-// instance the first CCDS-family run fills the memo (cold) and its sibling
-// under the same key reads it (warm), with a standalone MIS before, between
-// or after them taking neither path; runs under another adversary kind or
-// seed run inline beside it, as do the stateful adversaries and Observer
-// runs.
+// TestMISPhaseReuseMatchesReference checks sibling runs that share one
+// instance: on each fresh instance a standalone MIS, a CCDS and a baseline
+// run (the MIS first or not), a CCDS run under a smaller bound, runs under
+// another adversary kind or seed, the stateful adversaries and Observer
+// runs must each equal the single-runner reference on a separately built
+// copy of the instance. Every run computes its own MIS phase, so no run may
+// leave state on the shared instance that changes a later sibling's.
 func TestMISPhaseReuseMatchesReference(t *testing.T) {
-	paths := map[string]int{}
-	for _, shape := range []InstanceSpec{{N: 24, GrayProb: 0.15}, {N: 48, GrayProb: 0.4}} {
-		for _, adv := range []string{"none", "full", "collision"} {
+	runs := 0
+	for _, spec := range []InstanceSpec{{N: 24, GrayProb: 0.15, Seed: 7}, {N: 48, GrayProb: 0.4, Seed: 7}} {
+		pristine, err := BuildInstance(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, adv := range []string{"none", "full", "collision", "uniform", "bursty"} {
 			for _, misFirst := range []bool{true, false} {
-				inst, err := BuildInstance(InstanceSpec{N: shape.N, GrayProb: shape.GrayProb, Seed: 7})
+				inst, err := BuildInstance(spec)
 				if err != nil {
 					t.Fatal(err)
 				}
-				base := phaseRun{adv: adv, b: 512, seed: 3}
+				base := fixedRun{adv: adv, b: 512, seed: 3}
 				order := []string{"ccds", "mis", "baseline"}
 				if misFirst {
 					order = []string{"mis", "ccds", "baseline"}
 				}
+				var siblings []fixedRun
 				for _, algo := range order {
 					r := base
 					r.algo = algo
-					want := "warm"
-					switch {
-					case algo == "mis":
-						want = "none"
-					case inst.mis == nil:
-						want = "cold"
-					}
-					if p := checkPhaseRun(t, inst, r); p != want {
-						t.Fatalf("%v: took the %s path, want %s", r, p, want)
-					}
-					paths[want]++
+					siblings = append(siblings, r)
 				}
-				// The message bound stays out of the key.
 				small := base
 				small.algo, small.b = "ccds", 160
-				paths[checkPhaseRun(t, inst, small)]++
-				// Every other key runs inline beside the memoized one.
-				for _, o := range []phaseRun{{algo: "baseline", adv: otherAdv(adv), b: 512, seed: 3},
-					{algo: "ccds", adv: adv, b: 512, seed: 4}} {
-					if p := checkPhaseRun(t, inst, o); p != "inline" {
-						t.Fatalf("%v: took the %s path beside key %+v", o, p, inst.mis.key)
-					}
-					paths["inline"]++
+				other := fixedRun{algo: "baseline", adv: "none", b: 512, seed: 3}
+				if adv == "none" {
+					other.adv = "full"
+				}
+				watched := base
+				watched.algo, watched.obs = order[0], true
+				siblings = append(siblings, small, other,
+					fixedRun{algo: "ccds", adv: adv, b: 512, seed: 4}, watched)
+				for _, r := range siblings {
+					checkRun(t, inst, r, referenceRun(t, pristine, r))
+					runs++
 				}
 			}
 		}
-		// Stateful adversaries and Observers run inline.
-		inst, err := BuildInstance(InstanceSpec{N: shape.N, GrayProb: shape.GrayProb, Seed: 9})
+	}
+	t.Logf("%d sibling runs matched", runs)
+}
+
+// TestMISPhaseCappedRunsUnsplit checks a CCDS run capped inside its MIS
+// phase or at its end: it reports the cap's rounds and no decided round,
+// and equals the reference. A standalone MIS stopping once decided and the
+// uncapped CCDS run on the same instance then equal theirs.
+func TestMISPhaseCappedRunsUnsplit(t *testing.T) {
+	inst, err := BuildInstance(InstanceSpec{N: 32, GrayProb: 0.3, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := core.MISRounds(32, core.DefaultParams())
+	r := fixedRun{algo: "ccds", adv: "collision", b: 512, seed: 1}
+	for _, capped := range []int{cut / 2, cut} {
+		c := r
+		c.maxRounds = capped
+		out, err := c.run(c.scenario(inst))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, algo := range []string{"mis", "ccds", "baseline"} {
-			for _, r := range []phaseRun{
-				{algo: algo, adv: "uniform", b: 512, seed: 5},
-				{algo: algo, adv: "bursty", b: 512, seed: 5},
-				{algo: algo, adv: "collision", obs: true, b: 512, seed: 5},
-			} {
-				want := "inline"
-				if algo == "mis" {
-					want = "none"
-				}
-				if p := checkPhaseRun(t, inst, r); p != want {
-					t.Fatalf("%v: took the %s path, want %s", r, p, want)
-				}
-				paths[want]++
-			}
+		if out.Rounds != capped || out.DecidedRound != -1 {
+			t.Fatalf("capped at %d: %d rounds, decided %d", capped, out.Rounds, out.DecidedRound)
 		}
-		if inst.mis != nil {
-			t.Fatalf("ineligible runs filled the memo")
-		}
+		checkRun(t, inst, c, referenceRun(t, inst, c))
 	}
-	t.Logf("runs per path: %v", paths)
+	mis := r
+	mis.algo, mis.stop = "mis", true
+	checkRun(t, inst, mis, referenceRun(t, inst, mis))
+	checkRun(t, inst, r, referenceRun(t, inst, r))
 }
 
-// otherAdv returns a stateless adversary kind other than adv.
-func otherAdv(adv string) string {
-	if adv == "none" {
-		return "full"
+// TestMISPhaseTinyBoundFails checks that an MIS run whose bound is below
+// its messages' size fails as the reference does, on a fresh instance and
+// beside a CCDS sibling that ran first.
+func TestMISPhaseTinyBoundFails(t *testing.T) {
+	for _, sibling := range []bool{false, true} {
+		inst, err := BuildInstance(InstanceSpec{N: 32, Seed: 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := fixedRun{algo: "ccds", adv: "collision", b: 512, seed: 1}
+		if sibling {
+			checkRun(t, inst, r, referenceRun(t, inst, r))
+		}
+		r.algo, r.b = "mis", core.MISMessageBits(32)-1
+		if _, err := r.run(r.scenario(inst)); err == nil {
+			t.Fatalf("sibling=%v: MIS with a %d-bit bound ran", sibling, r.b)
+		}
+		checkRun(t, inst, r, referenceRun(t, inst, r))
 	}
-	return "none"
 }
 
 // TestMISStopsAtDecisionMatchesReference is the differential test of the
@@ -432,8 +391,9 @@ func otherAdv(adv string) string {
 // equal to the reference runner's after the rounds it simulated and, with
 // an Observer, the reference's round trace. The grid crosses n, the
 // adversaries, the three reception filters, MaxRounds (0, below the
-// decided round, between it and the schedule end, and past the end), an
-// unbounded and the tightest fitting bound, StopWhenDecided and an
+// decided round, between it and the schedule end, and past the end), no
+// bound, the tightest fitting bound and one a bit under it (every
+// unlabeled run then fails, as the reference does), StopWhenDecided and an
 // Observer.
 func TestMISStopsAtDecisionMatchesReference(t *testing.T) {
 	stopped := 0
@@ -444,7 +404,7 @@ func TestMISStopsAtDecisionMatchesReference(t *testing.T) {
 		}
 		for _, adv := range []string{"none", "full", "collision", "uniform", "bursty"} {
 			for _, filter := range []core.FilterMode{core.FilterDetector, core.FilterNone, core.FilterMutual} {
-				base := phaseRun{algo: "mis", adv: adv, filter: filter, seed: uint64(n)}
+				base := fixedRun{algo: "mis", adv: adv, filter: filter, seed: uint64(n)}
 				whole := referenceRun(t, inst, base)
 				decided, end := whole.out.DecidedRound, whole.out.Rounds
 				if decided < 0 {
@@ -458,16 +418,28 @@ func TestMISStopsAtDecisionMatchesReference(t *testing.T) {
 					if maxRounds > 0 && maxRounds < end {
 						ref = referenceRun(t, inst, capped)
 					}
+					// A bound one bit under the largest message keeps the
+					// whole run. Unlabeled messages all have that size, so
+					// the run fails before any process decides.
+					under := capped
+					under.b = whole.bits - 1
+					underRef := referenceRun(t, inst, under)
+					if filter != core.FilterMutual && (underRef.err == nil || underRef.out.DecidedRound >= 0) {
+						t.Fatalf("%v: the reference decided (%d) or ran (%v) with a bound under every message",
+							under, underRef.out.DecidedRound, underRef.err)
+					}
 					for _, stop := range []bool{false, true} {
 						// An Observer keeps the whole run at any bound.
 						for _, v := range []struct {
 							b   int
 							obs bool
-						}{{0, false}, {ref.bits, false}, {ref.bits, true}} {
+							ref *refRun
+						}{{0, false, ref}, {ref.bits, false, ref}, {ref.bits, true, ref},
+							{under.b, false, underRef}, {under.b, true, underRef}} {
 							r := capped
 							r.b, r.stop, r.obs = v.b, stop, v.obs
-							checkRun(t, inst, r, ref)
-							if k, ok := ref.simulated(r); ok && k < len(ref.stats)-1 {
+							checkRun(t, inst, r, v.ref)
+							if k, ok := v.ref.simulated(r); ok && k < len(v.ref.stats)-1 {
 								stopped++
 							}
 						}
@@ -502,7 +474,7 @@ func checkSizeGuardAfterDecision(t *testing.T) {
 	inst := &Instance{Net: net, Asg: asg, Det: detector.Complete(net, asg)}
 	late := 0
 	for seed := uint64(1); seed <= 4000; seed++ {
-		r := phaseRun{algo: "mis", adv: "none", b: core.MISMessageBits(2) - 1, seed: seed}
+		r := fixedRun{algo: "mis", adv: "none", b: core.MISMessageBits(2) - 1, seed: seed}
 		ref := referenceRun(t, inst, r)
 		if ref.err == nil {
 			t.Fatalf("%v: the reference ran with a bound under every message", r)
@@ -519,113 +491,30 @@ func checkSizeGuardAfterDecision(t *testing.T) {
 	t.Logf("%d seeds fail on size after deciding", late)
 }
 
-// TestMISPhaseCappedRunsUnsplit checks the runs that keep the single
-// runner: a CCDS run capped inside the MIS phase, and a standalone MIS,
-// here one stopping once decided. They neither read nor fill the memo.
-func TestMISPhaseCappedRunsUnsplit(t *testing.T) {
-	inst, err := BuildInstance(InstanceSpec{N: 32, GrayProb: 0.3, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := core.MISRounds(32, core.DefaultParams())
-	r := phaseRun{algo: "ccds", adv: "collision", b: 512, seed: 1}
-	for _, capped := range []int{cut / 2, cut} {
-		s := r.scenario(inst)
-		s.MaxRounds = capped
-		out, err := s.RunCCDS()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Rounds != capped || out.DecidedRound != -1 {
-			t.Fatalf("capped at %d: %d rounds, decided %d", capped, out.Rounds, out.DecidedRound)
-		}
-	}
-	s := r.scenario(inst)
-	s.StopWhenDecided = true
-	if _, err := s.RunMIS(); err != nil {
-		t.Fatal(err)
-	}
-	if inst.mis != nil {
-		t.Fatal("a capped CCDS run or a standalone MIS filled the memo")
-	}
-	// The full-schedule CCDS run fills it, and the reference agrees.
-	if p := checkPhaseRun(t, inst, r); p != "cold" {
-		t.Fatalf("full CCDS run took the %s path", p)
-	}
-}
-
-// TestMISPhaseTinyBoundFails checks that an MIS run whose bound is below
-// its messages' size fails as it always did, even beside a memoized phase
-// that a CCDS sibling filled, and stores nothing of its own.
-func TestMISPhaseTinyBoundFails(t *testing.T) {
-	for _, warm := range []bool{false, true} {
-		inst, err := BuildInstance(InstanceSpec{N: 32, Seed: 12})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := phaseRun{algo: "ccds", adv: "collision", b: 512, seed: 1}
-		if warm {
-			checkPhaseRun(t, inst, r)
-		}
-		s := r.scenario(inst)
-		s.B = core.MISMessageBits(32) - 1
-		if _, err := s.RunMIS(); err == nil {
-			t.Fatalf("warm=%v: MIS with a %d-bit bound ran", warm, s.B)
-		}
-		if !warm && inst.mis != nil {
-			t.Fatal("a failed MIS phase was stored")
-		}
-	}
-}
-
-// TestMISPhaseConcurrentSiblings runs the siblings of one key concurrently
-// (under -race this checks the singleflight): every run equals the
-// reference, whichever claims the slot, and each standalone MIS beside
-// them stops at its decided round, so it read no phase.
-func TestMISPhaseConcurrentSiblings(t *testing.T) {
-	inst, err := BuildInstance(InstanceSpec{N: 40, GrayProb: 0.3, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	algos := []string{"mis", "ccds", "baseline", "ccds", "mis", "ccds"}
-	outs, err := TrialsWorkers(len(algos), 4, func(i int) (*Outcome, error) {
-		r := phaseRun{algo: algos[i], adv: "collision", b: 512, seed: 2}
-		return r.run(r.scenario(inst))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, algo := range algos {
-		r := phaseRun{algo: algo, adv: "collision", b: 512, seed: 2}
-		if d := referenceRun(t, inst, r).diff(r, outs[i], nil); d != "" {
-			t.Fatalf("%v: %s", r, d)
-		}
-	}
-}
-
-// FuzzMISPhaseReuse fuzzes the memoized MIS phase and the standalone MIS
-// against the single-runner reference: n, gray probability, seed,
-// adversary kind and the order of two siblings on one fresh instance. Each
-// CCDS-family run must equal the reference exactly, whether it filled the
-// memo, read it or ran inline; each MIS run must meet the decided-tail
-// contract checkPhaseRun states.
-func FuzzMISPhaseReuse(f *testing.F) {
-	f.Add(uint8(24), uint8(40), uint64(1), uint8(2), uint8(0))
-	f.Add(uint8(40), uint8(100), uint64(7), uint8(1), uint8(1))
-	f.Add(uint8(16), uint8(10), uint64(3), uint8(0), uint8(2))
-	f.Add(uint8(32), uint8(80), uint64(5), uint8(3), uint8(3))
-	f.Add(uint8(20), uint8(60), uint64(9), uint8(4), uint8(4))
-	f.Fuzz(func(t *testing.T, rawN, rawGray uint8, seed uint64, adv uint8, order uint8) {
+// FuzzRunFixedMatchesReference fuzzes runFixed against the single-runner
+// reference: per input one mis, ccds or baseline run over a fuzzed n, gray
+// probability, seed, adversary kind, MIS filter and MaxRounds. A CCDS-family
+// run must equal the reference exactly; an MIS run must meet the
+// decided-tail contract diff states.
+func FuzzRunFixedMatchesReference(f *testing.F) {
+	f.Add(uint8(24), uint8(40), uint64(1), uint8(0), uint8(2), uint8(0), uint16(0))
+	f.Add(uint8(40), uint8(100), uint64(7), uint8(1), uint8(1), uint8(0), uint16(0))
+	f.Add(uint8(16), uint8(10), uint64(3), uint8(2), uint8(0), uint8(0), uint16(0))
+	f.Add(uint8(32), uint8(80), uint64(5), uint8(1), uint8(3), uint8(0), uint16(900))
+	f.Add(uint8(20), uint8(60), uint64(9), uint8(2), uint8(4), uint8(0), uint16(9000))
+	f.Add(uint8(28), uint8(50), uint64(4), uint8(0), uint8(4), uint8(1), uint16(300))
+	f.Add(uint8(36), uint8(30), uint64(6), uint8(0), uint8(1), uint8(2), uint16(0))
+	f.Fuzz(func(t *testing.T, rawN, rawGray uint8, seed uint64, algo, adv, filter uint8, maxRounds uint16) {
 		n := 8 + int(rawN)%41 // [8, 48]
 		inst, err := BuildInstance(InstanceSpec{N: n, GrayProb: float64(rawGray%128) / 255, Seed: seed})
 		if err != nil {
 			return // unbuildable instance: nothing to compare
 		}
+		algos := []string{"mis", "ccds", "baseline"}
 		kinds := []string{"none", "full", "collision", "uniform", "bursty"}
-		pairs := [][2]string{{"mis", "ccds"}, {"ccds", "mis"}, {"mis", "baseline"}, {"baseline", "ccds"}, {"ccds", "ccds"}}
-		pair := pairs[int(order)%len(pairs)]
-		for _, algo := range pair {
-			checkPhaseRun(t, inst, phaseRun{algo: algo, adv: kinds[int(adv)%len(kinds)], b: 512, seed: seed})
-		}
+		filters := []core.FilterMode{core.FilterDetector, core.FilterNone, core.FilterMutual}
+		r := fixedRun{algo: algos[int(algo)%len(algos)], adv: kinds[int(adv)%len(kinds)], b: 512, seed: seed,
+			filter: filters[int(filter)%len(filters)], maxRounds: int(maxRounds)}
+		checkRun(t, inst, r, referenceRun(t, inst, r))
 	})
 }

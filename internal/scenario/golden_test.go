@@ -170,12 +170,17 @@ var presetLeapResultGolden = map[string]string{
 // TestPresetResultsGolden runs every preset under engine "exact" and under
 // the "leap" label at 1 and 3 trial workers: the two Results must be
 // byte-identical, and on amd64 the sha256 of their JSON must equal the
-// pinned value. It is the service path's byte contract: a change to a
-// protocol, the engine or the adversary that alters an execution fails
-// here even when every structural check still passes. Other architectures
-// may fuse multiply-adds, which can move a generated edge or a reduced
-// float, so the hashes are pinned where they were recorded (as the
-// experiments digest is).
+// pinned value. It is the service path's byte contract over what a Result
+// keeps: a change to a protocol, the engine or the adversary that moves a
+// Result fails here even when every structural check still passes. It does
+// not pin whole executions: a ccds, baseline-ccds or tau-ccds trial keeps
+// only the size of its dominating set (the MIS, or the τ algorithm's
+// dominators), the schedule length, the decided round and a validity bit,
+// so a change that moves only connectors can pass here
+// (harness.TestCCDSFamilyMatchesReference compares whole executions).
+// Other architectures may fuse multiply-adds, which can move a generated
+// edge or a reduced float, so the hashes are pinned where they were
+// recorded (as the experiments digest is).
 func TestPresetResultsGolden(t *testing.T) {
 	presets := Presets()
 	if len(presets) != len(presetResultGolden) {

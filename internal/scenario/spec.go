@@ -161,7 +161,9 @@ type Spec struct {
 	// Seed is the base seed; trial i derives its randomness from Seed+i
 	// (0 defaults to 1, so trial seeds match the experiment suite's 1..k).
 	Seed uint64 `json:"seed,omitempty"`
-	// MaxRounds caps executions that have no fixed length (0 = algorithm
+	// MaxRounds caps every execution but continuous-ccds, which runs its
+	// periods in full: the fixed schedules of mis, mis-classic, ccds,
+	// baseline-ccds and tau-ccds as well as async-mis (0 = algorithm
 	// default).
 	MaxRounds int `json:"max_rounds,omitempty"`
 	// StopWhenDecided ends fixed-schedule executions once every process has

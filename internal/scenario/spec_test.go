@@ -278,6 +278,9 @@ func TestAlgorithmCoverageSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation smoke in -short mode")
 	}
+	// MaxRounds caps a fixed schedule too: this CCDS run ends inside its
+	// MIS phase, with no output decided.
+	capped := Spec{Algorithm: AlgoCCDS, Network: NetworkSpec{N: 32}, B: 512, MaxRounds: 100}
 	specs := []Spec{
 		{Algorithm: AlgoMIS, Network: NetworkSpec{N: 32}, StopWhenDecided: true},
 		{Algorithm: AlgoMISClassic, Network: NetworkSpec{N: 32, GrayProb: -1}, Adversary: AdversarySpec{Kind: AdvNone}, StopWhenDecided: true},
@@ -288,6 +291,7 @@ func TestAlgorithmCoverageSmoke(t *testing.T) {
 		{Algorithm: AlgoContinuousCCDS, Network: NetworkSpec{N: 32}, B: 512},
 		{Algorithm: AlgoMIS, Network: NetworkSpec{N: 32}, Adversary: AdversarySpec{Kind: AdvUniform, P: 0.3}, StopWhenDecided: true},
 		{Algorithm: AlgoMIS, Network: NetworkSpec{N: 32}, Adversary: AdversarySpec{Kind: AdvBursty, MeanUp: 4, MeanDown: 4}, StopWhenDecided: true},
+		capped,
 	}
 	for _, s := range specs {
 		comp, err := Compile(s)
@@ -303,6 +307,10 @@ func TestAlgorithmCoverageSmoke(t *testing.T) {
 		}
 		if res.Trials[0].Rounds <= 0 {
 			t.Errorf("%s: trial ran %d rounds", s.Algorithm, res.Trials[0].Rounds)
+		}
+		if tr := res.Trials[0]; s == capped && (tr.Rounds != 100 || tr.DecidedRound != -1 || tr.Valid) {
+			t.Errorf("capped %s: %d rounds, decided %d, valid %v; want 100, -1, false",
+				s.Algorithm, tr.Rounds, tr.DecidedRound, tr.Valid)
 		}
 	}
 }

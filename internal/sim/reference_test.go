@@ -473,54 +473,6 @@ func TestRunnerMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRunnerAtResumesAtMISEnd splits each fixed-schedule fleet that opens
-// with the Section 4 MIS at the MIS schedule end, where every process is
-// awake: one Runner capped there, then NewRunnerAt over the same processes
-// and adversary with its counters. The split execution must give the
-// reference's outputs and every Stats field, under every adversary kind.
-func TestRunnerAtResumesAtMISEnd(t *testing.T) {
-	const n = 40
-	cut := core.MISRounds(n, core.DefaultParams())
-	for seed := uint64(1); seed <= 2; seed++ {
-		net, err := gen.RandomGeometric(gen.GeometricConfig{N: n}, rand.New(rand.NewPCG(seed, 0x5EED)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range refFleets(t, net, seed)[:3] { // mis, ccds, baseline
-			for _, a := range refAdversaries {
-				wantOut, wantStats, _ := refExecution(net, a.make(net, seed), f.build(t), f.maxRounds, false)
-				procs, adv := f.build(t), a.make(net, seed)
-				cfg := sim.Config{Net: net, Adversary: adv, Processes: procs, MessageBits: 1 << 12, MaxRounds: cut}
-				first, err := sim.NewRunner(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				carried, err := first.Run()
-				if err != nil || carried.Rounds != cut {
-					t.Fatalf("%s/%s: stage 1 ran %d rounds (err %v), want %d", f.name, a.name, carried.Rounds, err, cut)
-				}
-				cfg.MaxRounds = f.maxRounds
-				second, err := sim.NewRunnerAt(cfg, cut, carried)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := second.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != wantStats {
-					t.Fatalf("%s/%s/seed%d: split stats %+v, reference %+v", f.name, a.name, seed, got, wantStats)
-				}
-				for v, p := range procs {
-					if p.Output() != wantOut[v] {
-						t.Fatalf("%s/%s/seed%d: node %d: split output %d, reference %d", f.name, a.name, seed, v, p.Output(), wantOut[v])
-					}
-				}
-			}
-		}
-	}
-}
-
 // FuzzRunnerMatchesReference runs the whole-execution oracle over fuzzed
 // cases: the instance seed, a small n, the protocol, and the adversary
 // kind. The corpus starts from TestRunnerMatchesReference's 75 cases.

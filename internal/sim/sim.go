@@ -25,13 +25,6 @@
 // checked, and the active set is a flag per node plus a count, with no list
 // to compact. A fleet sharing one fixed schedule length skips even that: it
 // retires all at once, at the shared final round.
-//
-// Resuming. An execution may be split at a round every process is awake
-// for: a Runner with MaxRounds at that round runs the first stage, and
-// NewRunnerAt starts the second there, over processes in the state the
-// first left them in and with its counters. The split execution is
-// bit-identical to one Runner; the harness splits the CCDS family at its
-// MIS schedule end so that MIS phase can be shared.
 package sim
 
 import (
@@ -271,27 +264,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	}
 	r.nActive = len(r.runnable)
 	r.stats.DecidedRound = -1
-	return r, nil
-}
-
-// NewRunnerAt returns a Runner for the second stage of an execution split
-// at round start. The first stage is a Runner with MaxRounds = start; the
-// second resumes over processes in the state the first left them in, with
-// its counters. It is bit-identical to one Runner driving the whole
-// execution provided every process is awake at start: no wake round
-// declared before start lies past it, so a fresh runnable list of every
-// process that is not Done is the one the single Runner would build there.
-// Every field of carried is kept except AllDone, which the resumed
-// execution sets; a caller whose second stage decides anew passes
-// DecidedRound -1.
-func NewRunnerAt(cfg Config, start int, carried Stats) (*Runner, error) {
-	r, err := NewRunner(cfg)
-	if err != nil {
-		return nil, err
-	}
-	r.round = start
-	r.stats = carried
-	r.stats.AllDone = false
 	return r, nil
 }
 
